@@ -180,6 +180,25 @@ void mix_spans(std::span<float> dst, std::span<const float> src, double w) {
                   });
 }
 
+namespace {
+
+// The momentum update over [0, n). Written inline in sgd_update's chunk
+// lambda, GCC 12 leaves this loop scalar ("latch block not empty"); as a
+// function of restrict pointers and by-value scalars it vectorizes.
+void sgd_momentum_range(float* HADFL_RESTRICT val,
+                        const float* HADFL_RESTRICT g,
+                        float* HADFL_RESTRICT v, std::size_t n, float lr,
+                        float momentum, float weight_decay) {
+  HADFL_PRAGMA_SIMD
+  for (std::size_t i = 0; i < n; ++i) {
+    const float gi = g[i] + weight_decay * val[i];
+    v[i] = momentum * v[i] + gi;
+    val[i] -= lr * v[i];
+  }
+}
+
+}  // namespace
+
 void sgd_update(std::span<float> value, std::span<const float> grad,
                 std::span<float> vel, float lr, float momentum,
                 float weight_decay) {
@@ -196,12 +215,9 @@ void sgd_update(std::span<float> value, std::span<const float> grad,
   parallel_chunks(value.size(), kParallelChunkGrain, default_compute_threads(),
                   [&](std::size_t begin, std::size_t end) {
                     if (momentum > 0.0f) {
-                      HADFL_PRAGMA_SIMD
-                      for (std::size_t i = begin; i < end; ++i) {
-                        const float gi = g[i] + weight_decay * val[i];
-                        v[i] = momentum * v[i] + gi;
-                        val[i] -= lr * v[i];
-                      }
+                      sgd_momentum_range(val + begin, g + begin, v + begin,
+                                         end - begin, lr, momentum,
+                                         weight_decay);
                     } else {
                       HADFL_PRAGMA_SIMD
                       for (std::size_t i = begin; i < end; ++i) {

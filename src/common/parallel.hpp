@@ -11,6 +11,11 @@
 // is partitioned by SHAPE (fixed grain), never by thread count, and every
 // chunk writes a disjoint range, so results are bit-identical at any
 // `HADFL_NUM_THREADS`.
+//
+// Only top-level calls fan out. A call made from inside a pool task (a
+// kernel inside a device burst, say) runs every index inline on the
+// calling thread: the outer batch already keeps the cores busy
+// (ThreadPool's nesting rule). The partition is the same either way.
 #pragma once
 
 #include <algorithm>
@@ -27,10 +32,10 @@ namespace hadfl {
 /// *execute* parallel kernels; it never changes their results.
 std::size_t default_compute_threads();
 
-/// Runs fn(0), ..., fn(count-1) concurrently on the shared pool (the caller
-/// participates, so nested calls cannot deadlock). Rethrows the first
-/// exception after all tasks finish. `max_threads` caps the number of
-/// threads working on this batch, caller included (0 = no cap).
+/// Runs fn(0), ..., fn(count-1) concurrently on the shared pool, the caller
+/// included; inline when called from inside a pool task. Rethrows the
+/// first exception after all tasks finish. `max_threads` caps the number
+/// of threads working on this batch, caller included (0 = no cap).
 inline void parallel_for_each(std::size_t count,
                               const std::function<void(std::size_t)>& fn,
                               std::size_t max_threads = 0) {
@@ -44,7 +49,8 @@ inline constexpr std::size_t kParallelChunkGrain = std::size_t{1} << 16;
 /// fn(begin, end) over them, in parallel when there is more than one chunk
 /// and the thread budget allows. The chunk boundaries depend only on
 /// `total` and `grain`, so elementwise kernels partitioned this way are
-/// bit-identical at any thread count. Small inputs run inline.
+/// bit-identical at any thread count. Small inputs, and calls from inside
+/// a pool task, run inline.
 inline void parallel_chunks(std::size_t total, std::size_t grain,
                             std::size_t max_threads,
                             const std::function<void(std::size_t, std::size_t)>& fn) {

@@ -5,6 +5,15 @@
 
 namespace hadfl {
 
+namespace {
+
+// True while this thread executes pool work: a queued task on a pool
+// worker, or a run_batch caller draining its own batch. A batch started
+// from such a thread runs inline (see run_batch).
+thread_local bool t_in_pool_work = false;
+
+}  // namespace
+
 ThreadPool::ThreadPool(std::size_t threads) {
   ensure_threads(std::max<std::size_t>(1, threads));
 }
@@ -39,6 +48,7 @@ std::size_t ThreadPool::thread_count() const {
 }
 
 void ThreadPool::worker_loop() {
+  t_in_pool_work = true;  // this thread only ever runs queued tasks
   for (;;) {
     std::function<void()> task;
     {
@@ -78,8 +88,20 @@ void ThreadPool::run_batch(std::size_t count,
                            const std::function<void(std::size_t)>& fn,
                            std::size_t max_concurrency) {
   if (count == 0) return;
-  if (count == 1 || max_concurrency == 1) {
-    for (std::size_t i = 0; i < count; ++i) fn(i);
+  // A thread that is itself a unit of parallel work keeps its batch: the
+  // other cores already run sibling units, so helpers would only add
+  // wake-ups and lock traffic (and, for tiny kernels, cost more than the
+  // work). The serial loop honours the same contract as the parallel one.
+  if (count == 1 || max_concurrency == 1 || t_in_pool_work) {
+    std::exception_ptr error;
+    for (std::size_t i = 0; i < count; ++i) {
+      try {
+        fn(i);
+      } catch (...) {
+        if (!error) error = std::current_exception();
+      }
+    }
+    if (error) std::rethrow_exception(error);
     return;
   }
   // Heap-owned so a helper task that wakes after the caller returned (it
@@ -96,7 +118,9 @@ void ThreadPool::run_batch(std::size_t count,
   for (std::size_t i = 0; i < helpers; ++i) {
     submit([batch] { drain_batch(*batch); });
   }
+  t_in_pool_work = true;
   drain_batch(*batch);
+  t_in_pool_work = false;
   std::unique_lock<std::mutex> lock(batch->mu);
   batch->cv.wait(lock, [&batch] { return batch->done == batch->count; });
   if (batch->error) {

@@ -2,13 +2,21 @@
 //
 // Two usage modes share one implementation:
 //  * fork-join batches (`run_batch`): the caller participates in executing
-//    its own batch, so nested calls — including calls made from inside a
-//    pool worker — can never deadlock, and a batch of N tasks costs zero
-//    thread spawns after pool construction. `parallel_for_each`
-//    (common/parallel.hpp) runs on the process-shared pool.
+//    its own batch, and a batch of N tasks costs zero thread spawns after
+//    pool construction. `parallel_for_each` (common/parallel.hpp) runs on
+//    the process-shared pool.
 //  * long-running tasks (`submit`): the rt runtime hosts one device worker
 //    loop per pool thread (src/rt). A dedicated pool sized to the device
 //    count guarantees every worker gets a thread.
+//
+// Nesting rule: a thread never fans out while it is itself a unit of
+// parallel work — a queued task (sim device bursts, fleet trainer lanes,
+// rt device worker loops) or a caller draining its own batch. A batch
+// started from such a thread runs inline on it, so nested calls cannot
+// deadlock and never oversubscribe the cores the outer batch already
+// occupies. Only top-level calls fan out (coordinator eval, the fleet's
+// O(K) sweeps, state aggregation). Results do not depend on which thread
+// runs a task, so the rule changes timing only.
 #pragma once
 
 #include <condition_variable>
@@ -45,8 +53,10 @@ class ThreadPool {
 
   /// Runs fn(0..count-1) to completion. The calling thread executes tasks
   /// alongside the pool workers (it is never idle-blocked while work
-  /// remains), so calling from inside a pool task is safe. Rethrows the
-  /// first exception after all tasks finish.
+  /// remains). Called from a thread that is executing pool work (of any
+  /// pool), the whole batch runs inline on that thread. Every index runs
+  /// even when some throw; the first exception is rethrown after all
+  /// tasks finish.
   ///
   /// `max_concurrency` caps the number of threads working on the batch,
   /// caller included (0 = no cap). The cap only bounds *who executes*;
@@ -57,9 +67,10 @@ class ThreadPool {
                  std::size_t max_concurrency = 0);
 
   /// Process-wide shared pool used by parallel_for_each. Sized to
-  /// max(hardware_concurrency, 4): device counts routinely exceed core
-  /// counts and the caller participates anyway, so mild oversubscription
-  /// only costs context switches, never correctness.
+  /// max(hardware_concurrency, 4) so a device-level batch of up to four
+  /// devices runs each device on its own thread. Kernels called inside
+  /// those tasks run inline (nesting rule above), so the pool never stacks
+  /// kernel fan-outs on top of busy device threads.
   static ThreadPool& shared();
 
  private:

@@ -35,23 +35,11 @@ Tensor ResidualBlock::forward(const Tensor& input, bool training) {
                     "residual add shape mismatch: "
                         << shape_to_string(main.shape()) << " vs "
                         << shape_to_string(shortcut.shape()));
-  Tensor out = ops::add(main, shortcut);
-  out_relu_mask_.assign(out.numel(), false);
-  for (std::size_t i = 0; i < out.numel(); ++i) {
-    const bool positive = out[i] > 0.0f;
-    out_relu_mask_[i] = positive;
-    if (!positive) out[i] = 0.0f;
-  }
-  return out;
+  return out_relu_.forward(ops::add(main, shortcut), training);
 }
 
 Tensor ResidualBlock::backward(const Tensor& grad_output) {
-  HADFL_CHECK_SHAPE(grad_output.numel() == out_relu_mask_.size(),
-                    "ResidualBlock backward before forward");
-  Tensor g(grad_output.shape());
-  for (std::size_t i = 0; i < g.numel(); ++i) {
-    g[i] = out_relu_mask_[i] ? grad_output[i] : 0.0f;
-  }
+  const Tensor g = out_relu_.backward(grad_output);
 
   // Main path.
   Tensor g_main = bn2_.backward(g);

@@ -35,8 +35,7 @@ class ResidualBlock : public Layer {
   BatchNorm2d bn2_;
   std::optional<Conv2d> proj_conv_;
   std::optional<BatchNorm2d> proj_bn_;
-
-  std::vector<bool> out_relu_mask_;  ///< mask of the post-sum ReLU
+  ReLU out_relu_;  ///< the post-sum ReLU
 };
 
 }  // namespace hadfl::nn

@@ -7,6 +7,11 @@
 // count — so a kernel's result is bit-identical whether it runs on 1
 // thread or 64. Threads only decide who computes which tile.
 //
+// Tiles fan out only from a top-level call (coordinator eval, a
+// single-device step). A kernel called inside a pool task — a sim device
+// burst, a fleet trainer lane, an rt device worker — runs its tiles
+// inline, whatever the budget below says (common/thread_pool.hpp).
+//
 // Thread budget resolution, in priority order:
 //   1. KernelConfig::max_threads when non-zero (set_kernel_config),
 //   2. the HADFL_NUM_THREADS environment variable,

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <iterator>
+#include <limits>
+#include <vector>
+
 #include "common/error.hpp"
 #include "nn/activations.hpp"
 #include "nn/flatten.hpp"
@@ -28,6 +34,31 @@ TEST(ReLU, BackwardMasksByForwardSign) {
   EXPECT_EQ(gi[0], 0.0f);
   EXPECT_EQ(gi[1], 20.0f);
   EXPECT_EQ(gi[2], 0.0f);  // 0 is not > 0
+
+  // Special values follow the same `x > 0` rule bit for bit: NaN and -0.0f
+  // map to +0.0f and mask the gradient; +inf and denormals pass. Cycled
+  // over 37 elements so both the vector body and the remainder see each.
+  using Limits = std::numeric_limits<float>;
+  const float special[] = {Limits::quiet_NaN(), -0.0f,
+                           Limits::infinity(),  -Limits::infinity(),
+                           Limits::denorm_min(), -Limits::denorm_min(),
+                           1.5f,                -2.5f};
+  const std::size_t n = 37;
+  std::vector<float> xs(n), gs(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    xs[i] = special[i % std::size(special)];
+    gs[i] = 1.0f + static_cast<float>(i);
+  }
+  const Tensor y = relu.forward(Tensor({n}, xs), true);
+  const Tensor gy = relu.backward(Tensor({n}, gs));
+  for (std::size_t i = 0; i < n; ++i) {
+    SCOPED_TRACE(xs[i]);
+    const bool positive = xs[i] > 0.0f;
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(y[i]),
+              std::bit_cast<std::uint32_t>(positive ? xs[i] : 0.0f));
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(gy[i]),
+              std::bit_cast<std::uint32_t>(positive ? gs[i] : 0.0f));
+  }
 }
 
 TEST(ReLU, BackwardShapeChecked) {

@@ -6,8 +6,10 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -45,16 +47,88 @@ TEST(ParallelForEach, PropagatesFirstException) {
                InvalidArgument);
 }
 
-TEST(ParallelForEach, OtherTasksStillCompleteOnException) {
+/// Runs `fn` as a queued task on a one-thread pool; the pool's destructor
+/// waits for it.
+void run_in_pool_task(std::function<void()> fn) {
+  ThreadPool pool(1);
+  pool.submit(std::move(fn));
+}
+
+/// A 4-task batch whose task 0 throws: how often each index ran, and
+/// whether the Error reached the caller.
+struct FailingBatch {
+  std::vector<int> hits;
+  bool threw = false;
+};
+
+FailingBatch run_failing_batch(std::size_t max_threads) {
   std::vector<std::atomic<int>> hits(4);
+  FailingBatch result;
   try {
-    parallel_for_each(4, [&](std::size_t i) {
-      ++hits[i];
-      if (i == 0) throw Error("first fails");
-    });
-    FAIL() << "expected throw";
+    parallel_for_each(
+        4,
+        [&](std::size_t i) {
+          ++hits[i];
+          if (i == 0) throw Error("first fails");
+        },
+        max_threads);
   } catch (const Error&) {
+    result.threw = true;
   }
+  for (const auto& h : hits) result.hits.push_back(h.load());
+  return result;
+}
+
+TEST(ParallelForEach, OtherTasksStillCompleteOnException) {
+  // Same contract on every path: fan-out, serial (max_threads = 1), and
+  // inline inside a pool task.
+  const std::vector<int> once(4, 1);
+  const FailingBatch fanned = run_failing_batch(0);
+  EXPECT_TRUE(fanned.threw);
+  EXPECT_EQ(fanned.hits, once);
+
+  const FailingBatch serial = run_failing_batch(1);
+  EXPECT_TRUE(serial.threw);
+  EXPECT_EQ(serial.hits, once);
+
+  FailingBatch nested;
+  run_in_pool_task([&] { nested = run_failing_batch(0); });
+  EXPECT_TRUE(nested.threw);
+  EXPECT_EQ(nested.hits, once);
+}
+
+/// The thread that ran each of `count` indices of a parallel_for_each.
+std::vector<std::thread::id> record_threads(std::size_t count) {
+  std::vector<std::thread::id> ran(count);
+  parallel_for_each(count,
+                    [&](std::size_t i) { ran[i] = std::this_thread::get_id(); });
+  return ran;
+}
+
+TEST(ParallelForEach, NestedCallsRunInlineOnTheCallingThread) {
+  // Inside a parallel_for_each task.
+  std::vector<std::vector<std::thread::id>> inner(4);
+  std::vector<std::thread::id> outer(4);
+  parallel_for_each(4, [&](std::size_t t) {
+    outer[t] = std::this_thread::get_id();
+    inner[t] = record_threads(16);
+  });
+  for (std::size_t t = 0; t < 4; ++t) {
+    EXPECT_EQ(inner[t], std::vector<std::thread::id>(16, outer[t]));
+  }
+
+  // Inside a submitted task.
+  std::thread::id task_thread;
+  std::vector<std::thread::id> in_task;
+  run_in_pool_task([&] {
+    task_thread = std::this_thread::get_id();
+    in_task = record_threads(16);
+  });
+  EXPECT_EQ(in_task, std::vector<std::thread::id>(16, task_thread));
+
+  // A top-level call still runs every index exactly once.
+  std::vector<std::atomic<int>> hits(64);
+  parallel_for_each(64, [&](std::size_t i) { ++hits[i]; });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
@@ -75,7 +149,7 @@ TEST(ThreadPool, SubmitRunsTasksOnPoolThreads) {
 
 TEST(ThreadPool, NestedRunBatchDoesNotDeadlock) {
   // run_batch from inside a pool task must complete even when every pool
-  // thread is already busy — the caller participates in its own batch.
+  // thread is already busy: the nested batch runs inline.
   ThreadPool pool(2);
   std::atomic<int> inner{0};
   pool.run_batch(4, [&](std::size_t) {

@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <span>
 #include <tuple>
 #include <vector>
 
@@ -370,6 +371,39 @@ TEST_F(KernelTest, SgdUpdateMatchesScalarReference) {
   sgd_update(val2, grad, {}, lr, 0.0f, wd);
   for (std::size_t i = 0; i < n; ++i) {
     ASSERT_NEAR(val2[i], expect2[i], 1e-6f);
+  }
+}
+
+// Updating a span in odd-sized pieces runs the scalar remainder where one
+// call runs the vector body; the bytes must not differ. The fixed-grain
+// chunk grid's thread invariance rests on this.
+TEST_F(KernelTest, SgdUpdateBitIdenticalInOddPieces) {
+  const std::size_t pieces[] = {1, 7, 1003};
+  const std::size_t n = 1 + 7 + 1003;
+  const std::vector<float> grad = random_vec(n, 41);
+  for (const float mu : {0.9f, 0.0f}) {
+    SCOPED_TRACE(mu);
+    std::vector<float> whole = random_vec(n, 42);
+    std::vector<float> split = whole;
+    std::vector<float> vel_whole = random_vec(n, 43);
+    std::vector<float> vel_split = vel_whole;
+    const std::span<float> vw =
+        mu > 0.0f ? std::span<float>(vel_whole) : std::span<float>();
+    sgd_update(whole, grad, vw, 0.05f, mu, 1e-4f);
+    std::size_t at = 0;
+    for (const std::size_t len : pieces) {
+      const std::span<float> vs =
+          mu > 0.0f ? std::span<float>(vel_split).subspan(at, len)
+                    : std::span<float>();
+      sgd_update(std::span<float>(split).subspan(at, len),
+                 std::span<const float>(grad).subspan(at, len), vs, 0.05f, mu,
+                 1e-4f);
+      at += len;
+    }
+    EXPECT_EQ(std::memcmp(whole.data(), split.data(), n * sizeof(float)), 0);
+    EXPECT_EQ(std::memcmp(vel_whole.data(), vel_split.data(),
+                          n * sizeof(float)),
+              0);
   }
 }
 

@@ -55,6 +55,11 @@ TEST(Residual, ZeroWeightsPassShortcutThroughReLU) {
   EXPECT_EQ(y[3], 4.0f);
 }
 
+TEST(Residual, BackwardBeforeForwardThrows) {
+  ResidualBlock block(2, 2, 1);
+  EXPECT_THROW(block.backward(Tensor({1, 2, 4, 4})), ShapeError);
+}
+
 TEST(Residual, InputGradientMatchesNumeric) {
   ResidualBlock block(2, 2, 1);
   Rng rng(5);
