@@ -99,23 +99,31 @@ SimTransport::FanoutResult SimTransport::send_fanout(
   const sim::FaultInjector& faults = cluster_->faults();
   parallel_chunks(
       n, kFanoutGrain, threads, [&](std::size_t begin, std::size_t end) {
-        const std::size_t r = begin / kFanoutGrain;
+        // The range's partials stay local until the end: neighbouring
+        // slots of the shared vectors share cache lines across threads.
+        std::vector<DeviceId> range_delivered;
+        std::vector<DeviceId> range_unreachable;
+        SimTime range_last = 0.0;
         for (std::size_t i = begin; i < end; ++i) {
           const DeviceId dst = dsts[i];
           check_device(dst);
           HADFL_CHECK_ARG(dst != src, "broadcast destination equals source");
           const SimTime arrival = depart + link_time(src, dst, bytes);
           if (!faults.alive(dst, arrival)) {
-            unreachable[r].push_back(dst);
+            range_unreachable.push_back(dst);
             continue;
           }
           // Distinct destinations ⇒ disjoint clock slots and volume
           // counters; the global max clock is folded back in afterwards.
           cluster_->advance_to_unsynced(dst, arrival);
           volume_.received[dst] += bytes;
-          delivered[r].push_back(dst);
-          last_arrivals[r] = std::max(last_arrivals[r], arrival);
+          range_delivered.push_back(dst);
+          range_last = std::max(range_last, arrival);
         }
+        const std::size_t r = begin / kFanoutGrain;
+        delivered[r] = std::move(range_delivered);
+        unreachable[r] = std::move(range_unreachable);
+        last_arrivals[r] = range_last;
       });
   // A dead receiver still consumes the send: volume counts at the sender
   // for every destination, exactly as the serial per-dst loop accumulates.

@@ -151,6 +151,9 @@ class FleetEngine {
   /// Runs fn(range_index, begin, end) over the fixed grid on up to
   /// `threads_` threads. The serial fallback lands everything in range 0,
   /// so per-range partials must merge through neutral initial values.
+  /// A range accumulates its partial in locals and writes its slot once,
+  /// at the end: neighbouring slots share cache lines, and the pool runs
+  /// neighbouring ranges on different threads.
   void for_ranges(std::size_t n,
                   const std::function<void(std::size_t, std::size_t,
                                            std::size_t)>& fn) {
@@ -158,6 +161,26 @@ class FleetEngine {
                     [&](std::size_t begin, std::size_t end) {
                       fn(begin / kFleetGrain, begin, end);
                     });
+  }
+  /// The ids for which keep(id) holds, in their order in `ids`: per-range
+  /// lists concatenate in range order.
+  template <class Keep>
+  std::vector<sim::DeviceId> filter_ids(const std::vector<sim::DeviceId>& ids,
+                                        const Keep& keep) {
+    std::vector<std::vector<sim::DeviceId>> parts(range_count(ids.size()));
+    for_ranges(ids.size(),
+               [&](std::size_t r, std::size_t begin, std::size_t end) {
+                 std::vector<sim::DeviceId> part;
+                 for (std::size_t i = begin; i < end; ++i) {
+                   if (keep(ids[i])) part.push_back(ids[i]);
+                 }
+                 parts[r] = std::move(part);
+               });
+    std::vector<sim::DeviceId> out;
+    for (const auto& part : parts) {
+      out.insert(out.end(), part.begin(), part.end());
+    }
+    return out;
   }
 
   // ---- phase spans ----
@@ -349,16 +372,19 @@ std::vector<float> FleetEngine::mean_state_classes(
   // Classes fold in first-member order: when every slab is distinct the
   // accumulate sequence degenerates to mean_state_exact's per-device fold,
   // bit for bit — which keeps saturated cohort groups on the exact path.
+  // Consecutive ids nearly always share a slab, so the hash is consulted
+  // only when the slab changes from the previous id's.
   std::unordered_map<SlabId, std::size_t> index;
   std::vector<std::pair<SlabId, std::size_t>> classes;  // (slab, count)
+  std::size_t last = 0;  // class of the previous id
   for (const sim::DeviceId id : ids) {
     const SlabId slab = state_slab_[id];
-    const auto [it, inserted] = index.emplace(slab, classes.size());
-    if (inserted) {
-      classes.emplace_back(slab, 1);
-    } else {
-      ++classes[it->second].second;
+    if (classes.empty() || classes[last].first != slab) {
+      const auto [it, inserted] = index.emplace(slab, classes.size());
+      if (inserted) classes.emplace_back(slab, 0);
+      last = it->second;
     }
+    ++classes[last].second;
   }
   mean_acc_.reset(state_floats_);
   const double n = static_cast<double>(ids.size());
@@ -418,12 +444,14 @@ void FleetEngine::warm_up(std::size_t num_groups) {
   const std::size_t ranges = range_count(k_);
   std::vector<sim::SimTime> range_clock(ranges, 0.0);
   for_ranges(k_, [&](std::size_t r, std::size_t begin, std::size_t end) {
+    sim::SimTime clock_max = 0.0;
     for (std::size_t d = begin; d < end; ++d) {
       const sim::SimTime duration = cluster_.advance_compute_unsynced(
           d, static_cast<std::size_t>(warmup_epochs) * ipe_[d]);
       epoch_times[d] = duration / static_cast<double>(warmup_epochs);
-      range_clock[r] = std::max(range_clock[r], cluster_.time(d));
+      clock_max = std::max(clock_max, cluster_.time(d));
     }
+    range_clock[r] = clock_max;
   });
   for (const sim::SimTime t : range_clock) cluster_.note_clock(t);
   cluster_.barrier_all();
@@ -595,25 +623,11 @@ bool FleetEngine::aggregate_group(
   }
   store_->release(agg_slab);
 
-  // Non-blocking broadcast to the unselected members. The membership scan
-  // is O(candidates) — per-range partial lists merge in range order, so
-  // `others` keeps the serial candidate order.
-  std::vector<sim::DeviceId> others;
-  {
-    const std::size_t nc = candidates.size();
-    std::vector<std::vector<sim::DeviceId>> parts(range_count(nc));
-    for_ranges(nc, [&](std::size_t r, std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) {
-        const sim::DeviceId id = candidates[i];
-        if (std::find(ring.begin(), ring.end(), id) == ring.end()) {
-          parts[r].push_back(id);
-        }
-      }
-    });
-    for (const auto& part : parts) {
-      others.insert(others.end(), part.begin(), part.end());
-    }
-  }
+  // Non-blocking broadcast to the unselected members, in candidate order.
+  const std::vector<sim::DeviceId> others =
+      filter_ids(candidates, [&](sim::DeviceId id) {
+        return std::find(ring.begin(), ring.end(), id) == ring.end();
+      });
   if (!others.empty()) {
     const sim::DeviceId src = ring[static_cast<std::size_t>(rng_.uniform_int(
         0, static_cast<std::int64_t>(ring.size()) - 1))];
@@ -644,49 +658,70 @@ void FleetEngine::broadcast_integrate(
   // the receivers by that slab pair and run it once per class. Exact-mode
   // bit-identity is preserved: every class member would compute exactly
   // these bits on its own, and no receiver's result feeds another's.
-  // Recycling is safe mid-loop: a later class's key slabs are still
-  // referenced by its (not yet rebound) members, so they cannot have been
-  // freed and reused. The O(delivered) grouping scan runs per range (the
-  // slab arrays are read-only here); per-range maps merge in range order,
-  // so each class's member list keeps the serial delivered order.
   using ClassKey = std::pair<SlabId, SlabId>;
+  struct ClassRebind {
+    std::uint32_t members = 0;
+    SlabId state = CowStateStore::kNone;
+    SlabId sync = CowStateStore::kNone;
+  };
+  using ClassTable = std::map<ClassKey, ClassRebind>;
+  // Count each class's members per range (the slab arrays are read-only
+  // here); the counts merge into one key-ordered table.
   const std::size_t n = delivered.size();
-  std::vector<std::map<ClassKey, std::vector<sim::DeviceId>>> parts(
-      range_count(n));
+  std::vector<ClassTable> parts(range_count(n));
   for_ranges(n, [&](std::size_t r, std::size_t begin, std::size_t end) {
+    ClassTable part;
+    auto cls = part.end();  // consecutive receivers mostly share a class
     for (std::size_t i = begin; i < end; ++i) {
       const sim::DeviceId id = delivered[i];
-      parts[r][{state_slab_[id], sync_slab_[id]}].push_back(id);
+      const ClassKey key{state_slab_[id], sync_slab_[id]};
+      if (cls == part.end() || cls->first != key) {
+        cls = part.try_emplace(key).first;
+      }
+      ++cls->second.members;
     }
+    parts[r] = std::move(part);
   });
-  std::map<ClassKey, std::vector<sim::DeviceId>> classes;
-  for (auto& part : parts) {
-    for (auto& [key, members] : part) {
-      auto& dst = classes[key];
-      dst.insert(dst.end(), members.begin(), members.end());
-    }
+  ClassTable classes;
+  for (const ClassTable& part : parts) {
+    for (const auto& [key, cls] : part) classes[key].members += cls.members;
   }
+  // In key order, create each class's two slabs and move its members'
+  // references in bulk. Only releases free slabs, and the old state slab
+  // still frees before the old sync slab, as when members rebind one by
+  // one, so free-list reuse, slab ids and peak counts do not change. A
+  // later class's key slabs are still referenced by its members, so they
+  // cannot be recycled mid-loop.
   std::vector<float> mixed;
-  for (const auto& [key, members] : classes) {
+  for (auto& [key, cls] : classes) {
     sync_scratch_.assign(aggregate.begin(), aggregate.end());
     compress_roundtrip(sync_scratch_, store_->view(key.second), config_);
     const std::span<const float> state = store_->view(key.first);
     mixed.assign(state.begin(), state.end());
     nn::mix_into(mixed, sync_scratch_, config_.broadcast_mix_weight);
-    const SlabId new_state = store_->create(mixed);
-    const SlabId new_sync = store_->create(sync_scratch_);
-    for (const sim::DeviceId id : members) {
-      store_->retain(new_state);
-      rebind_state(id, new_state);
-      store_->retain(new_sync);
-      rebind_sync(id, new_sync);
-      version_[id] =
-          (1.0 - config_.broadcast_mix_weight) * version_[id] +
-          config_.broadcast_mix_weight * version_mean;
-    }
-    store_->release(new_state);
-    store_->release(new_sync);
+    cls.state = store_->create(mixed);
+    cls.sync = store_->create(sync_scratch_);
+    store_->retain(cls.state, cls.members);
+    store_->release(key.first, cls.members);
+    store_->retain(cls.sync, cls.members);
+    store_->release(key.second, cls.members);
+    store_->release(cls.state);
+    store_->release(cls.sync);
   }
+  // Rebind each receiver through the old key it still holds. Receivers
+  // are distinct, so every slot is written once.
+  const double mix = config_.broadcast_mix_weight;
+  for_ranges(n, [&](std::size_t, std::size_t begin, std::size_t end) {
+    auto cls = classes.cend();
+    for (std::size_t i = begin; i < end; ++i) {
+      const sim::DeviceId id = delivered[i];
+      const ClassKey key{state_slab_[id], sync_slab_[id]};
+      if (cls == classes.cend() || cls->first != key) cls = classes.find(key);
+      state_slab_[id] = cls->second.state;
+      sync_slab_[id] = cls->second.sync;
+      version_[id] = (1.0 - mix) * version_[id] + mix * version_mean;
+    }
+  });
 }
 
 void FleetEngine::inter_group_sync(const DeviceGroups& groups,
@@ -853,6 +888,9 @@ FleetResult FleetEngine::run() {
     std::vector<std::vector<sim::DeviceId>> range_train(ranges);
     const bool train_all = exact_mode();
     for_ranges(k_, [&](std::size_t r, std::size_t begin, std::size_t end) {
+      double executed_sum = 0.0;
+      sim::SimTime clock_max = 0.0;
+      std::vector<sim::DeviceId> train;
       for (std::size_t d = begin; d < end; ++d) {
         cluster_.advance_to_unsynced(d, t0);
         // == liveness.is_available(d) after the align: time(d) is now t0.
@@ -864,14 +902,17 @@ FleetResult FleetEngine::run() {
             std::max(0.0, std::floor(window / iter_time + 1e-9)));
         const std::size_t executed = std::min(strategy_.local_steps[d], fit);
         last_executed_[d] = executed;
-        if (train_all && executed > 0) range_train[r].push_back(d);
+        if (train_all && executed > 0) train.push_back(d);
         cluster_.advance_unsynced(d,
                                   iter_time * static_cast<double>(executed));
         cluster_.advance_to_unsynced(d, t0 + window);
         version_[d] += static_cast<double>(executed);
-        range_executed[r] += static_cast<double>(executed);
-        range_clock[r] = std::max(range_clock[r], cluster_.time(d));
+        executed_sum += static_cast<double>(executed);
+        clock_max = std::max(clock_max, cluster_.time(d));
       }
+      range_executed[r] = executed_sum;
+      range_clock[r] = clock_max;
+      range_train[r] = std::move(train);
     });
     double executed_total = 0.0;
     std::vector<TrainJob> jobs;
@@ -918,17 +959,10 @@ FleetResult FleetEngine::run() {
     std::vector<float> eval_state;
     std::vector<sim::DeviceId> selected_this_round;
     for (const auto& group : groups) {
-      std::vector<sim::DeviceId> candidates;
-      const std::size_t gn = group.size();
-      std::vector<std::vector<sim::DeviceId>> parts(range_count(gn));
-      for_ranges(gn, [&](std::size_t r, std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          if (available_at_start[group[i]] != 0) parts[r].push_back(group[i]);
-        }
-      });
-      for (const auto& part : parts) {
-        candidates.insert(candidates.end(), part.begin(), part.end());
-      }
+      const std::vector<sim::DeviceId> candidates =
+          filter_ids(group, [&](sim::DeviceId d) {
+            return available_at_start[d] != 0;
+          });
       if (candidates.empty()) continue;
       aggregate_group(candidates, predicted, selected_this_round,
                       eval_state);

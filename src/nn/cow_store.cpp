@@ -52,14 +52,19 @@ CowStateStore::SlabId CowStateStore::create_zeroed() {
   return id;
 }
 
-void CowStateStore::retain(SlabId id) {
+void CowStateStore::retain(SlabId id, std::uint32_t count) {
   check_live(id);
-  ++refcounts_[id];
+  refcounts_[id] += count;
 }
 
-void CowStateStore::release(SlabId id) {
+void CowStateStore::release(SlabId id, std::uint32_t count) {
   check_live(id);
-  if (--refcounts_[id] == 0) {
+  HADFL_CHECK_ARG(count <= refcounts_[id],
+                  "CowStateStore: releasing " << count << " references of slab "
+                                              << id << " (refcount "
+                                              << refcounts_[id] << ")");
+  refcounts_[id] -= count;
+  if (refcounts_[id] == 0) {
     free_list_.push_back(id);
     --live_slabs_;
   }

@@ -44,11 +44,12 @@ class CowStateStore {
   /// optimizer-velocity slabs, which all start at zero and share one slab.
   SlabId create_zeroed();
 
-  /// Increments a slab's refcount (a second handle now shares it).
-  void retain(SlabId id);
+  /// Adds `count` references to a slab (that many more handles share it).
+  void retain(SlabId id, std::uint32_t count = 1);
 
-  /// Decrements a slab's refcount; a slab reaching zero is recycled.
-  void release(SlabId id);
+  /// Drops `count` references; a slab reaching zero is recycled. Dropping
+  /// more references than the slab holds throws InvalidArgument.
+  void release(SlabId id, std::uint32_t count = 1);
 
   /// Read-only view of a slab's state.
   std::span<const float> view(SlabId id) const;

@@ -8,8 +8,14 @@ void FaultInjector::schedule(FaultEvent event) {
   HADFL_CHECK_ARG(event.down_at >= 0.0, "fault time must be non-negative");
   HADFL_CHECK_ARG(event.up_at > event.down_at,
                   "fault recovery must come after the failure");
-  by_device_[event.device].push_back(
-      static_cast<std::uint32_t>(events_.size()));
+  if (event.device >= first_event_.size()) {
+    first_event_.resize(event.device + 1, kNoEvent);
+  }
+  // Prepend to the device's chain: the queries ask whether ANY event
+  // covers a time, so the walk order does not matter.
+  const auto index = static_cast<std::uint32_t>(events_.size());
+  next_event_.push_back(first_event_[event.device]);
+  first_event_[event.device] = index;
   events_.push_back(event);
 }
 
@@ -19,9 +25,8 @@ void FaultInjector::schedule_disconnect(DeviceId device, SimTime down_at) {
 }
 
 bool FaultInjector::alive(DeviceId device, SimTime t) const {
-  const auto it = by_device_.find(device);
-  if (it == by_device_.end()) return true;
-  for (const std::uint32_t i : it->second) {
+  for (std::uint32_t i = first_event(device); i != kNoEvent;
+       i = next_event_[i]) {
     const FaultEvent& e = events_[i];
     if (t >= e.down_at && t < e.up_at) return false;
   }
@@ -74,9 +79,8 @@ double FaultInjector::drift_multiplier(DeviceId device,
 }
 
 bool FaultInjector::fails_within(DeviceId device, SimTime t0, SimTime t1) const {
-  const auto it = by_device_.find(device);
-  if (it == by_device_.end()) return false;
-  for (const std::uint32_t i : it->second) {
+  for (std::uint32_t i = first_event(device); i != kNoEvent;
+       i = next_event_[i]) {
     const FaultEvent& e = events_[i];
     if (e.down_at <= t1 && t0 < e.up_at) return true;
   }

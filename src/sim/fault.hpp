@@ -6,9 +6,11 @@
 // A drift event is a round-indexed multiplier on a device's true step
 // time; devices without drift always multiply by exactly 1.0.
 //
-// Fleet-scale churn plans schedule one event per churning device, so the
-// liveness queries (`alive`, `fails_within`) — which run per device per
-// round — index events by device instead of scanning the full plan.
+// Fleet-scale churn plans schedule one event per churning device, and the
+// liveness queries (`alive`, `fails_within`) run per device per round, so
+// events are indexed by device in a dense array: a query for a device
+// without events is one bounds check and one array read, not a hash lookup
+// or a scan of the full plan.
 #pragma once
 
 #include <cstdint>
@@ -55,7 +57,7 @@ class FaultInjector {
   void schedule_disconnect(DeviceId device, SimTime down_at);
 
   /// True if the device is reachable at virtual time `t`. O(events of this
-  /// device), not O(all events).
+  /// device), not O(all events). Safe to call concurrently (read-only).
   bool alive(DeviceId device, SimTime t) const;
 
   /// True if the device is down at any point within [t0, t1].
@@ -75,9 +77,20 @@ class FaultInjector {
   bool has_drift() const { return !drift_.empty(); }
 
  private:
+  static constexpr std::uint32_t kNoEvent = ~std::uint32_t{0};
+
+  /// Head of the device's event chain, or kNoEvent.
+  std::uint32_t first_event(DeviceId device) const {
+    return device < first_event_.size() ? first_event_[device] : kNoEvent;
+  }
+
   std::vector<FaultEvent> events_;
-  /// device -> indices into events_; only churning devices have an entry.
-  std::unordered_map<DeviceId, std::vector<std::uint32_t>> by_device_;
+  /// device -> its most recently scheduled event, sized to the largest
+  /// scheduled id + 1 (ids above it have no events); kNoEvent if none.
+  std::vector<std::uint32_t> first_event_;
+  /// event index -> the same device's previously scheduled event, or
+  /// kNoEvent: each device's events form one chain through events_.
+  std::vector<std::uint32_t> next_event_;
   std::vector<DriftEvent> drift_;
   std::unordered_map<DeviceId, std::vector<std::uint32_t>> drift_by_device_;
 };

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <span>
+#include <vector>
 
 #include "comm/allreduce.hpp"
 #include "comm/broadcast.hpp"
@@ -73,6 +75,95 @@ TEST(Transport, NonblockingDeadReceiverConsumesSend) {
   EXPECT_THROW(t.send_nonblocking(0, 1, 4096), CommError);
   EXPECT_EQ(t.volume().sent[0], 4096u);
   EXPECT_EQ(t.volume().received[1], 0u);
+}
+
+// send_fanout cuts its destinations into fixed 16384-destination ranges.
+// The fan-out world: more than three ranges of receivers with varied link
+// speeds, visited in a scattered order, dead receivers on both sides of two
+// range boundaries, a fault window that closes before the arrival, a
+// slow link whose arrival is the latest of all, and receivers whose
+// clocks are already past some arrival times.
+constexpr std::size_t kFanoutDsts = 3 * 16384 + 1234;
+constexpr DeviceId kFanoutSrc = 5;
+
+std::vector<DeviceId> fanout_destinations() {
+  const std::size_t ids = kFanoutDsts + 1;
+  std::vector<DeviceId> dsts;
+  for (std::size_t i = 0; i < ids; ++i) {
+    const DeviceId id = (i * 7919) % ids;  // 7919 is coprime to ids
+    if (id != kFanoutSrc) dsts.push_back(id);
+  }
+  return dsts;
+}
+
+sim::Cluster fanout_cluster(const std::vector<DeviceId>& dsts) {
+  sim::Cluster cluster(
+      sim::DeviceTable::from_ratio_cycled({1.0}, kFanoutDsts + 1), 0.1);
+  std::vector<double> scales(kFanoutDsts + 1);
+  for (std::size_t d = 0; d < scales.size(); ++d) {
+    scales[d] = 0.25 + 0.125 * static_cast<double>(d % 7);
+  }
+  scales[dsts[5]] = 0.01;  // the one latest arrival, in the first range
+  cluster.set_bandwidth_scales(scales);
+  cluster.advance(kFanoutSrc, 1.0);
+  for (const std::size_t i : {16383u, 16384u, 32767u, 32768u}) {
+    cluster.faults().schedule_disconnect(dsts[i], 0.0);
+  }
+  cluster.faults().schedule(sim::FaultEvent{dsts[100], 0.0, 0.5});
+  cluster.faults().schedule(sim::FaultEvent{dsts[40000], 0.5, 2.0});
+  for (std::size_t i = 0; i < dsts.size(); i += 97) {
+    cluster.advance(dsts[i], 1.01);
+  }
+  return cluster;
+}
+
+std::vector<SimTime> clocks_of(const sim::Cluster& cluster) {
+  std::vector<SimTime> clocks(cluster.size());
+  for (DeviceId d = 0; d < clocks.size(); ++d) clocks[d] = cluster.time(d);
+  return clocks;
+}
+
+TEST(SimTransport, FanoutMatchesPerSendLoopAtAnyThreadCount) {
+  const sim::NetworkModel net{0.001, 1e6};
+  constexpr std::size_t kBytes = 4096;
+  const std::vector<DeviceId> dsts = fanout_destinations();
+  ASSERT_EQ(dsts.size(), kFanoutDsts);
+
+  sim::Cluster want_cluster = fanout_cluster(dsts);
+  SimTransport want(want_cluster, net);
+  std::vector<DeviceId> want_delivered;
+  std::vector<DeviceId> want_unreachable;
+  SimTime want_last = 0.0;
+  for (const DeviceId dst : dsts) {
+    try {
+      want_last =
+          std::max(want_last, want.send_nonblocking(kFanoutSrc, dst, kBytes));
+      want_delivered.push_back(dst);
+    } catch (const CommError&) {
+      want_unreachable.push_back(dst);
+    }
+  }
+  // The four dead receivers plus the one whose fault window covers its
+  // arrival; the window that closed before the arrival delivers.
+  ASSERT_EQ(want_unreachable,
+            (std::vector<DeviceId>{dsts[16383], dsts[16384], dsts[32767],
+                                   dsts[32768], dsts[40000]}));
+
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE(threads);
+    sim::Cluster cluster = fanout_cluster(dsts);
+    SimTransport t(cluster, net);
+    const SimTransport::FanoutResult got =
+        t.send_fanout(kFanoutSrc, dsts, kBytes, threads);
+    EXPECT_EQ(got.delivered, want_delivered);
+    EXPECT_EQ(got.unreachable, want_unreachable);
+    EXPECT_EQ(got.last_arrival, want_last);
+    EXPECT_EQ(cluster.max_time(), want_cluster.max_time());
+    EXPECT_EQ(clocks_of(cluster), clocks_of(want_cluster));
+    EXPECT_EQ(t.volume().received, want.volume().received);
+    EXPECT_EQ(t.volume().sent, want.volume().sent);
+    EXPECT_EQ(t.volume().sent[kFanoutSrc], kBytes * kFanoutDsts);
+  }
 }
 
 TEST(Transport, HandshakeAliveCostsTwoLatencies) {

@@ -100,6 +100,21 @@ TEST(CowStateStore, RecyclesFreedSlabsAndTracksPeak) {
   EXPECT_EQ(store.peak_slabs(), 3u);
   EXPECT_EQ(store.view(d)[0], 9.0f);
   EXPECT_EQ(store.view(a)[0], 0.0f);
+
+  // Counted references: n handles move in one call, and the slab frees
+  // exactly when the last of them is dropped.
+  store.retain(d, 5);
+  EXPECT_EQ(store.refcount(d), 6u);
+  store.release(d, 4);
+  EXPECT_EQ(store.refcount(d), 2u);
+  EXPECT_EQ(store.live_slabs(), 2u);
+  store.release(d, 2);
+  EXPECT_EQ(store.live_slabs(), 1u);
+  // The freed slab is the next one recycled; the peak still does not move.
+  const auto e = store.create(ramp(4, 7.0f));
+  EXPECT_EQ(e, d);
+  EXPECT_EQ(store.peak_slabs(), 3u);
+  EXPECT_EQ(store.view(e)[0], 7.0f);
 }
 
 TEST(CowStateStore, Validation) {
@@ -110,6 +125,18 @@ TEST(CowStateStore, Validation) {
   store.release(id);
   EXPECT_THROW(store.view(id), Error);
   EXPECT_THROW(store.retain(id), Error);
+  EXPECT_THROW(store.retain(id, 3), Error);
+  EXPECT_THROW(store.release(id, 2), Error);
+
+  // Over-release throws and leaves the references in place.
+  const auto live = store.create(ramp(4, 1.0f));
+  store.retain(live, 2);
+  EXPECT_THROW(store.release(live, 4), InvalidArgument);
+  EXPECT_EQ(store.refcount(live), 3u);
+  EXPECT_EQ(store.live_slabs(), 1u);
+  store.release(live, 3);
+  EXPECT_EQ(store.live_slabs(), 0u);
+  EXPECT_THROW(store.release(live, 1), Error);
 }
 
 // ---- fleet engine vs run_hadfl -------------------------------------------
@@ -353,6 +380,7 @@ core::FleetResult run_cohort_world(std::size_t threads, double momentum,
   fleet.cohort = 8;
   fleet.max_rounds = 2;
   fleet.scalar_threads = threads;
+  fleet.extras_device_cap = fw.devices;  // version series cover every range
   return core::run_hadfl_fleet(world.context(), world.scenario().hadfl,
                                fleet);
 }
@@ -371,6 +399,14 @@ void expect_same_run(const core::FleetResult& a, const core::FleetResult& b) {
     EXPECT_EQ(a.extras.selected[r], b.extras.selected[r]);
   }
   EXPECT_EQ(a.stats.train_episodes, b.stats.train_episodes);
+  // Slab bookkeeping: rebind order decides free-list recycling and with it
+  // the high-water marks.
+  EXPECT_EQ(a.stats.peak_state_slabs, b.stats.peak_state_slabs);
+  EXPECT_EQ(a.stats.peak_velocity_slabs, b.stats.peak_velocity_slabs);
+  EXPECT_EQ(a.stats.ring_repairs, b.stats.ring_repairs);
+  // Per-round version series (capped), compared exactly.
+  EXPECT_EQ(a.extras.actual_versions, b.extras.actual_versions);
+  EXPECT_EQ(a.extras.predicted_versions, b.extras.predicted_versions);
 }
 
 TEST(FleetEngine, ScalarThreadCountIsBitInvariant) {

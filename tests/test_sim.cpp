@@ -84,6 +84,27 @@ TEST(FaultInjector, AliveOutsideWindow) {
   EXPECT_FALSE(faults.alive(1, 19.9));
   EXPECT_TRUE(faults.alive(1, 20.0));
   EXPECT_TRUE(faults.alive(0, 15.0));  // other device unaffected
+
+  // Events out of id order (7, 2, 7): device 7 ends up with two windows.
+  faults.schedule(FaultEvent{7, 30.0, 40.0});
+  faults.schedule(FaultEvent{2, 5.0, 6.0});
+  faults.schedule(FaultEvent{7, 50.0, 60.0});
+  EXPECT_TRUE(faults.alive(7, 29.9));
+  EXPECT_FALSE(faults.alive(7, 30.0));
+  EXPECT_TRUE(faults.alive(7, 40.0));
+  EXPECT_TRUE(faults.alive(7, 49.9));
+  EXPECT_FALSE(faults.alive(7, 50.0));
+  EXPECT_FALSE(faults.alive(7, 59.9));
+  EXPECT_TRUE(faults.alive(7, 60.0));
+  EXPECT_FALSE(faults.alive(2, 5.5));
+  EXPECT_TRUE(faults.alive(2, 6.0));
+  EXPECT_FALSE(faults.alive(1, 15.0));  // earlier windows survive later ones
+  // Unscheduled ids below the largest scheduled id and far above it.
+  for (const DeviceId id : {DeviceId{0}, DeviceId{3}, DeviceId{6},
+                            DeviceId{8}, DeviceId{1000000}}) {
+    EXPECT_TRUE(faults.alive(id, 35.0)) << id;
+    EXPECT_TRUE(faults.alive(id, 55.0)) << id;
+  }
 }
 
 TEST(FaultInjector, PermanentDisconnect) {
@@ -100,6 +121,24 @@ TEST(FaultInjector, FailsWithinInterval) {
   EXPECT_TRUE(faults.fails_within(0, 11.0, 15.0));
   EXPECT_FALSE(faults.fails_within(0, 0.0, 9.9));
   EXPECT_FALSE(faults.fails_within(0, 12.0, 20.0));
+
+  // Events out of id order (7, 2, 7): device 7 ends up with two windows.
+  faults.schedule(FaultEvent{7, 30.0, 40.0});
+  faults.schedule(FaultEvent{2, 5.0, 6.0});
+  faults.schedule(FaultEvent{7, 50.0, 60.0});
+  EXPECT_TRUE(faults.fails_within(7, 25.0, 30.0));
+  EXPECT_FALSE(faults.fails_within(7, 40.0, 49.9));  // between the windows
+  EXPECT_TRUE(faults.fails_within(7, 45.0, 50.0));
+  EXPECT_TRUE(faults.fails_within(7, 59.0, 70.0));
+  EXPECT_FALSE(faults.fails_within(7, 60.0, 70.0));
+  EXPECT_TRUE(faults.fails_within(2, 0.0, 5.0));
+  EXPECT_FALSE(faults.fails_within(2, 6.0, 100.0));
+  EXPECT_TRUE(faults.fails_within(0, 11.0, 11.0));  // earlier event intact
+  // Unscheduled ids below the largest scheduled id and far above it.
+  for (const DeviceId id : {DeviceId{1}, DeviceId{3}, DeviceId{6},
+                            DeviceId{8}, DeviceId{1000000}}) {
+    EXPECT_FALSE(faults.fails_within(id, 0.0, 100.0)) << id;
+  }
 }
 
 TEST(FaultInjector, Validation) {
