@@ -12,8 +12,8 @@
 #include "core/strategy.hpp"
 #include "core/trainer.hpp"
 #include "exp/runner.hpp"
+#include "obs/span.hpp"
 #include "sim/cluster.hpp"
-#include "sim/trace.hpp"
 
 using namespace hadfl;
 
@@ -26,14 +26,14 @@ const std::vector<double> kRatio{4, 2, 1};
 double iter_time(std::size_t device) { return kIterTime / kRatio[device]; }
 
 // Distributed training: a barrier plus gradient all-reduce every iteration.
-sim::TraceRecorder trace_distributed(double sync_cost) {
-  sim::TraceRecorder trace;
+obs::Timeline trace_distributed(double sync_cost) {
+  obs::Timeline trace;
   double t = 0.0;
   for (std::size_t it = 0; it < kItersPerEpoch; ++it) {
     const double step = iter_time(2);  // slowest device gates the barrier
     for (std::size_t d = 0; d < kRatio.size(); ++d) {
-      trace.record(d, t, t + iter_time(d), sim::SpanKind::kCompute);
-      trace.record(d, t + step, t + step + sync_cost, sim::SpanKind::kSync);
+      trace.record(d, t, t + iter_time(d), obs::SpanKind::kCompute);
+      trace.record(d, t + step, t + step + sync_cost, obs::SpanKind::kSync);
     }
     t += step + sync_cost;
   }
@@ -41,21 +41,21 @@ sim::TraceRecorder trace_distributed(double sync_cost) {
 }
 
 // FedAvg: E = one epoch of local steps, then a synchronous aggregation.
-sim::TraceRecorder trace_fedavg(double sync_cost) {
-  sim::TraceRecorder trace;
+obs::Timeline trace_fedavg(double sync_cost) {
+  obs::Timeline trace;
   const double barrier = kItersPerEpoch * iter_time(2);
   for (std::size_t d = 0; d < kRatio.size(); ++d) {
     trace.record(d, 0.0, kItersPerEpoch * iter_time(d),
-                 sim::SpanKind::kCompute);
-    trace.record(d, barrier, barrier + sync_cost, sim::SpanKind::kSync);
+                 obs::SpanKind::kCompute);
+    trace.record(d, barrier, barrier + sync_cost, obs::SpanKind::kSync);
   }
   return trace;
 }
 
 // HADFL: heterogeneity-aware local steps E_k fill the hyperperiod; the two
 // selected devices gossip; one broadcasts to the rest non-blockingly.
-sim::TraceRecorder trace_hadfl(double sync_cost) {
-  sim::TraceRecorder trace;
+obs::Timeline trace_hadfl(double sync_cost) {
+  obs::Timeline trace;
   core::StrategyGenerator gen((core::StrategyConfig()));
   std::vector<double> epoch_times;
   for (std::size_t d = 0; d < kRatio.size(); ++d) {
@@ -68,14 +68,14 @@ sim::TraceRecorder trace_hadfl(double sync_cost) {
   for (std::size_t d = 0; d < kRatio.size(); ++d) {
     trace.record(d, 0.0,
                  static_cast<double>(strategy.local_steps[d]) * iter_time(d),
-                 sim::SpanKind::kCompute);
+                 obs::SpanKind::kCompute);
   }
   // Devices 0 and 1 selected for partial synchronization; device 0
   // broadcasts to device 2.
-  trace.record(0, window, window + sync_cost, sim::SpanKind::kSync);
-  trace.record(1, window, window + sync_cost, sim::SpanKind::kSync);
+  trace.record(0, window, window + sync_cost, obs::SpanKind::kSync);
+  trace.record(1, window, window + sync_cost, obs::SpanKind::kSync);
   trace.record(2, window + sync_cost, window + 1.5 * sync_cost,
-               sim::SpanKind::kBroadcast);
+               obs::SpanKind::kBroadcast);
   return trace;
 }
 
@@ -89,26 +89,26 @@ int main() {
             << sim::ratio_to_string(kRatio) << "; # = compute, S = model\n"
             << "synchronization, B = broadcast receive, . = idle\n\n";
 
-  const sim::TraceRecorder dist = trace_distributed(sync_cost);
+  const obs::Timeline dist = trace_distributed(sync_cost);
   std::cout << "Distributed training (per-iteration all-reduce, "
             << dist.end_time() << " time units/epoch):\n"
             << dist.render_timeline(kRatio.size()) << '\n';
 
-  const sim::TraceRecorder fedavg = trace_fedavg(sync_cost);
+  const obs::Timeline fedavg = trace_fedavg(sync_cost);
   std::cout << "FedAvg (synchronous aggregation each epoch, "
             << fedavg.end_time() << " time units/epoch):\n"
             << fedavg.render_timeline(kRatio.size()) << '\n';
 
-  const sim::TraceRecorder hadfl = trace_hadfl(sync_cost);
+  const obs::Timeline hadfl = trace_hadfl(sync_cost);
   std::cout << "HADFL (heterogeneity-aware local steps, "
             << hadfl.end_time() << " time units/window):\n"
             << hadfl.render_timeline(kRatio.size()) << '\n';
 
   // Useful-compute fraction: busy compute time / (devices * makespan).
-  auto busy_fraction = [](const sim::TraceRecorder& t, std::size_t devices) {
+  auto busy_fraction = [](const obs::Timeline& t, std::size_t devices) {
     double busy = 0.0;
     for (const auto& s : t.spans()) {
-      if (s.kind == sim::SpanKind::kCompute) busy += s.end - s.start;
+      if (s.kind == obs::SpanKind::kCompute) busy += s.end - s.start;
     }
     return busy / (static_cast<double>(devices) * t.end_time());
   };
@@ -127,7 +127,7 @@ int main() {
   exp::Scenario s = exp::paper_scenario(nn::Architecture::kMlp, {4, 2, 1},
                                         /*scale=*/0.3);
   s.train.total_epochs = 6;
-  sim::TraceRecorder live;
+  obs::Timeline live;
   s.hadfl.trace = &live;
   exp::Environment env(s);
   fl::SchemeContext ctx = env.context();

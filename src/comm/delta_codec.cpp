@@ -100,14 +100,20 @@ void encode_topk_chunk(std::span<const float> chunk, double ratio,
                                               << topk_payload_floats(k));
   payload[0] = std::bit_cast<float>(static_cast<std::uint32_t>(k));
   if (k == 0) return;
+  // Rank by the magnitude bits: for every non-NaN float they order exactly
+  // like fabs (±0 tie, inf largest), and a NaN ranks above inf, so the
+  // comparator is a strict weak order on any chunk.
+  const auto magnitude = [&](std::uint32_t i) {
+    return std::bit_cast<std::uint32_t>(chunk[i]) & 0x7fffffffu;
+  };
   std::vector<std::uint32_t> order(chunk.size());
   std::iota(order.begin(), order.end(), 0u);
   std::nth_element(order.begin(),
                    order.begin() + static_cast<std::ptrdiff_t>(k - 1),
                    order.end(), [&](std::uint32_t a, std::uint32_t b) {
-                     const float fa = std::fabs(chunk[a]);
-                     const float fb = std::fabs(chunk[b]);
-                     if (fa != fb) return fa > fb;
+                     const std::uint32_t ma = magnitude(a);
+                     const std::uint32_t mb = magnitude(b);
+                     if (ma != mb) return ma > mb;
                      return a < b;  // deterministic tie-break
                    });
   order.resize(k);

@@ -107,8 +107,8 @@ std::size_t encoded_state_bytes(SyncCodec codec, std::size_t n,
                                 std::size_t chunks, double topk_ratio);
 
 /// Quantizes `chunk` into `payload` (sized int8_payload_floats(chunk.size())).
-/// Bit-identical to quantize_int8: scale = max|x|/127, values rounded and
-/// clamped to [-127, 127]; an all-zero chunk encodes losslessly (scale 0).
+/// scale = max|x|/127, values rounded and clamped to [-127, 127]; an
+/// all-zero chunk encodes losslessly (scale 0).
 void encode_int8_chunk(std::span<const float> chunk, std::span<float> payload);
 
 /// Inverse of encode_int8_chunk into `dst` (the chunk's element count).
@@ -116,7 +116,8 @@ void decode_int8_chunk(std::span<const float> payload, std::span<float> dst);
 
 /// Sparsifies `chunk` keeping its topk_keep_count(ratio, n) largest-
 /// magnitude entries, into `payload` (sized topk_payload_floats(k)).
-/// Ties resolve to the lowest index; indices are stored ascending.
+/// Ties resolve to the lowest index and a NaN ranks above every other
+/// value; indices are stored ascending.
 void encode_topk_chunk(std::span<const float> chunk, double ratio,
                        std::span<float> payload);
 

@@ -65,10 +65,6 @@ std::vector<double> quantiles(std::vector<double> values,
   return out;
 }
 
-double third_quartile(const std::vector<double>& values) {
-  return quantile(values, 0.75);
-}
-
 double mean(const std::vector<double>& values) {
   HADFL_CHECK_ARG(!values.empty(), "mean of empty vector");
   return std::accumulate(values.begin(), values.end(), 0.0) /

@@ -30,9 +30,6 @@ inline std::vector<double> quantiles(std::vector<double> values,
                    std::span<const double>(qs.begin(), qs.size()));
 }
 
-/// Third quartile, i.e. quantile(values, 0.75) — the μ of paper Eq. 8.
-double third_quartile(const std::vector<double>& values);
-
 /// Arithmetic mean. Throws on empty input.
 double mean(const std::vector<double>& values);
 

@@ -92,9 +92,6 @@ class FleetEngine {
   std::span<const float> state_of(sim::DeviceId d) {
     return store_->view(state_slab_[d]);
   }
-  std::span<const float> sync_of(sim::DeviceId d) {
-    return store_->view(sync_slab_[d]);
-  }
   /// Rebinds a device's slab handle: takes over one reference on `slab`
   /// (callers retain before passing) and drops the old one.
   void rebind_state(sim::DeviceId d, SlabId slab) {
@@ -227,7 +224,6 @@ class FleetEngine {
   std::vector<TrainerSlot> slots_;
   nn::StateAccumulator mean_acc_;
   WeightedRingFold ring_fold_;
-  std::vector<float> sync_scratch_;
 
   TrainingStrategy strategy_;
   std::vector<double> prev_actual_;  ///< full-K kLastValue history
@@ -574,21 +570,10 @@ bool FleetEngine::aggregate_group(
       const std::vector<double> weights =
           ring_weights(ctx_.partition, ring, config_.weight_by_samples);
       ring_fold_.reset(state_floats_);
-      std::size_t codec_bytes = 0;
-      std::size_t dense_bytes = 0;
       for (std::size_t m = 0; m < ring.size(); ++m) {
-        const sim::DeviceId id = ring[m];
-        const std::span<const float> view = state_of(id);
-        sync_scratch_.assign(view.begin(), view.end());
-        dense_bytes = sync_scratch_.size() * sizeof(float);
-        codec_bytes = std::max(
-            codec_bytes,
-            compress_roundtrip(sync_scratch_, sync_of(id), config_));
-        ring_fold_.add(0, sync_scratch_, weights[m]);
+        ring_fold_.add(0, state_of(ring[m]), weights[m]);
       }
-      comm::simulate_ring_allreduce(
-          transport_, ring,
-          effective_wire_bytes(wire_bytes_, codec_bytes, dense_bytes));
+      comm::simulate_ring_allreduce(transport_, ring, wire_bytes_);
       aggregate.resize(ring_fold_.size());
       ring_fold_.write(0, aggregate);
       break;
@@ -631,14 +616,8 @@ bool FleetEngine::aggregate_group(
   if (!others.empty()) {
     const sim::DeviceId src = ring[static_cast<std::size_t>(rng_.uniform_int(
         0, static_cast<std::int64_t>(ring.size()) - 1))];
-    sync_scratch_.assign(aggregate.begin(), aggregate.end());
-    const std::size_t codec_bytes =
-        compress_roundtrip(sync_scratch_, sync_of(others.front()), config_);
     const comm::BroadcastResult bc = comm::broadcast_nonblocking(
-        transport_, src, others,
-        effective_wire_bytes(wire_bytes_, codec_bytes,
-                             aggregate.size() * sizeof(float)),
-        threads_);
+        transport_, src, others, wire_bytes_, threads_);
     broadcast_integrate(bc.delivered, aggregate, version_mean);
   }
 
@@ -694,13 +673,11 @@ void FleetEngine::broadcast_integrate(
   // cannot be recycled mid-loop.
   std::vector<float> mixed;
   for (auto& [key, cls] : classes) {
-    sync_scratch_.assign(aggregate.begin(), aggregate.end());
-    compress_roundtrip(sync_scratch_, store_->view(key.second), config_);
     const std::span<const float> state = store_->view(key.first);
     mixed.assign(state.begin(), state.end());
-    nn::mix_into(mixed, sync_scratch_, config_.broadcast_mix_weight);
+    nn::mix_into(mixed, aggregate, config_.broadcast_mix_weight);
     cls.state = store_->create(mixed);
-    cls.sync = store_->create(sync_scratch_);
+    cls.sync = store_->create(aggregate);
     store_->retain(cls.state, cls.members);
     store_->release(key.first, cls.members);
     store_->retain(cls.sync, cls.members);
@@ -788,6 +765,13 @@ FleetResult FleetEngine::run() {
                   "(the compressed-delta path needs per-device "
                   "error-feedback residuals, which would defeat the "
                   "shared-slab model store)");
+  HADFL_CHECK_ARG(!config_.adaptive.enabled,
+                  "fleet engine does not run the adaptive controller");
+  HADFL_CHECK_ARG(config_.trace == nullptr,
+                  "fleet engine records no per-device trace; its phase spans "
+                  "go to FleetConfig::recorder");
+  HADFL_CHECK_ARG(!cluster_.faults().has_drift(),
+                  "fleet engine does not apply scheduled speed drift");
   policy_ = config_.policy;
   if (!policy_) policy_ = std::make_shared<GaussianQuartileSelection>();
   if (!exact_mode()) {

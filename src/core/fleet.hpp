@@ -65,8 +65,9 @@
 //    gaussian-quartile (Eq. 8) and top-k selection policies through the
 //    same bucketed top-N machinery.
 //
-// Both modes ignore HadflConfig::trace; per-round phase spans (`select`,
-// `clock`, `train`, `fold`) go to FleetConfig::recorder when set.
+// Both modes reject a compressed sync codec, HadflConfig::trace, adaptive
+// mode and scheduled speed drift with InvalidArgument; per-round phase spans
+// (`select`, `clock`, `train`, `fold`) go to FleetConfig::recorder when set.
 #pragma once
 
 #include "core/trainer.hpp"

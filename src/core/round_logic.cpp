@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "comm/compression.hpp"
 #include "common/error.hpp"
 #include "common/logging.hpp"
 #include "common/math_utils.hpp"
@@ -56,21 +55,6 @@ DeviceSetup init_devices(const fl::SchemeContext& ctx,
     setup.compute_powers[d] = ctx.cluster.compute_power(d);
   }
   return setup;
-}
-
-std::size_t compress_roundtrip(std::span<float> state,
-                               std::span<const float> reference,
-                               const HadflConfig& config) {
-  switch (config.compression) {
-    case SyncCompression::kNone:
-      return state.size() * sizeof(float);
-    case SyncCompression::kInt8:
-      return comm::apply_int8_roundtrip(state);
-    case SyncCompression::kTopK:
-      return comm::apply_top_k_roundtrip(state, reference,
-                                         config.top_k_ratio);
-  }
-  return state.size() * sizeof(float);
 }
 
 std::size_t effective_wire_bytes(std::size_t wire_bytes,

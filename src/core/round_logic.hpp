@@ -78,13 +78,6 @@ struct DeviceSetup {
 DeviceSetup init_devices(const fl::SchemeContext& ctx,
                          const HadflConfig& config, Rng& rng);
 
-/// Applies the configured codec round-trip to `state` in place (what the
-/// receiver reconstructs) and returns the codec's wire size in bytes of the
-/// *actual* state; kNone returns the dense size.
-std::size_t compress_roundtrip(std::span<float> state,
-                               std::span<const float> reference,
-                               const HadflConfig& config);
-
 /// Scales the full-size wire price by the codec's compression ratio.
 std::size_t effective_wire_bytes(std::size_t wire_bytes,
                                  std::size_t codec_bytes,

@@ -71,7 +71,7 @@ HadflResult run_hadfl(const fl::SchemeContext& ctx, const HadflConfig& config) {
     epoch_times[d] = duration / static_cast<double>(warmup_epochs);
     if (config.trace != nullptr) {
       config.trace->record(d, warmup_start, warmup_start + duration,
-                           sim::SpanKind::kCompute, "negotiation");
+                           obs::SpanKind::kCompute, "negotiation");
     }
   }
   cluster.barrier_all();
@@ -226,7 +226,7 @@ HadflResult run_hadfl(const fl::SchemeContext& ctx, const HadflConfig& config) {
       dev.version += static_cast<double>(dev.last_executed);
       executed_total += static_cast<double>(dev.last_executed);
       if (config.trace != nullptr && dev.last_executed > 0) {
-        config.trace->record(d, t0, t0 + burst, sim::SpanKind::kCompute,
+        config.trace->record(d, t0, t0 + burst, obs::SpanKind::kCompute,
                              "round " + std::to_string(round));
       }
     }
@@ -286,7 +286,7 @@ HadflResult run_hadfl(const fl::SchemeContext& ctx, const HadflConfig& config) {
             config.trace->record(dead, t,
                                  t + config.repair.wait_before_handshake +
                                      config.repair.handshake_timeout,
-                                 sim::SpanKind::kRepair, "bypassed");
+                                 obs::SpanKind::kRepair, "bypassed");
           }
         }
         ring = repair.ring;
@@ -390,7 +390,7 @@ HadflResult run_hadfl(const fl::SchemeContext& ctx, const HadflConfig& config) {
           if (config.trace != nullptr) {
             for (sim::DeviceId id : ring) {
               config.trace->record(id, sync_start, sync_done,
-                                   sim::SpanKind::kSync, "partial sync");
+                                   obs::SpanKind::kSync, "partial sync");
             }
           }
           break;
@@ -469,7 +469,7 @@ HadflResult run_hadfl(const fl::SchemeContext& ctx, const HadflConfig& config) {
         if (config.trace != nullptr) {
           for (sim::DeviceId id : delivered) {
             config.trace->record(id, bc_start, cluster.time(id),
-                                 sim::SpanKind::kBroadcast, "broadcast");
+                                 obs::SpanKind::kBroadcast, "broadcast");
           }
         }
         // Either way the receiver reconstructs the aggregate bit-exactly

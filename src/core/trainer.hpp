@@ -31,8 +31,8 @@
 #include "ctrl/adaptive_controller.hpp"
 #include "core/selection.hpp"
 #include "core/strategy.hpp"
-#include "sim/trace.hpp"
 #include "fl/scheme.hpp"
+#include "obs/span.hpp"
 
 namespace hadfl::core {
 
@@ -77,7 +77,7 @@ struct HadflConfig {
   bool weight_by_samples = true;
   /// Optional execution trace (compute / sync / broadcast spans per
   /// device) for timeline rendering; not owned.
-  sim::TraceRecorder* trace = nullptr;
+  obs::Timeline* trace = nullptr;
   bool full_sync_after_negotiation = true;  ///< one global average after
                                             ///< warm-up for a stable start
   /// Telemetry-driven control loop (src/ctrl): re-estimates E_k, tunes the

@@ -16,10 +16,6 @@ BatchIterator::BatchIterator(const Dataset& dataset,
   rng_.shuffle(indices_);
 }
 
-void BatchIterator::set_augmentor(Augmentor augmentor) {
-  augmentor_ = std::move(augmentor);
-}
-
 Batch BatchIterator::next() {
   if (cursor_ >= indices_.size()) {
     cursor_ = 0;
@@ -30,9 +26,7 @@ Batch BatchIterator::next() {
       indices_.begin() + static_cast<std::ptrdiff_t>(cursor_),
       indices_.begin() + static_cast<std::ptrdiff_t>(cursor_ + take));
   cursor_ += take;
-  Batch batch = dataset_->gather(batch_indices);
-  if (augmentor_) augmentor_->apply(batch, rng_);
-  return batch;
+  return dataset_->gather(batch_indices);
 }
 
 std::size_t BatchIterator::batches_per_epoch() const {

@@ -7,10 +7,7 @@
 // not a multiple of the batch size.
 #pragma once
 
-#include <optional>
-
 #include "common/rng.hpp"
-#include "data/augment.hpp"
 #include "data/dataset.hpp"
 
 namespace hadfl::data {
@@ -20,9 +17,6 @@ class BatchIterator {
   /// `indices` are the device's sample indices into `dataset` (P^k).
   BatchIterator(const Dataset& dataset, std::vector<std::size_t> indices,
                 std::size_t batch_size, Rng rng);
-
-  /// Attaches training-time augmentation applied to every batch.
-  void set_augmentor(Augmentor augmentor);
 
   /// Next mini-batch; reshuffles transparently at epoch boundaries.
   Batch next();
@@ -39,7 +33,6 @@ class BatchIterator {
   std::size_t batch_size_;
   std::size_t cursor_ = 0;
   Rng rng_;
-  std::optional<Augmentor> augmentor_;
 };
 
 }  // namespace hadfl::data

@@ -19,28 +19,4 @@ std::vector<float> fedavg(const std::vector<std::vector<float>>& states,
   return nn::weighted_average(states, weights);
 }
 
-std::vector<float> flagged_average(
-    const std::vector<std::vector<float>>& states,
-    const std::vector<bool>& flags) {
-  HADFL_CHECK_ARG(states.size() == flags.size(), "states/flags mismatch");
-  std::size_t n_sel = 0;
-  std::size_t first_sel = states.size();
-  for (std::size_t k = 0; k < states.size(); ++k) {
-    if (!flags[k]) continue;
-    if (n_sel == 0) first_sel = k;
-    ++n_sel;
-  }
-  HADFL_CHECK_ARG(n_sel > 0, "flagged_average with no flags set");
-  // Stream the flagged states through the accumulator in slot order — the
-  // same arithmetic nn::average produced, without copying them into a
-  // `selected` vector first.
-  nn::StateAccumulator acc;
-  acc.reset(states[first_sel].size());
-  const double w = 1.0 / static_cast<double>(n_sel);
-  for (std::size_t k = 0; k < states.size(); ++k) {
-    if (flags[k]) acc.accumulate(states[k], w);
-  }
-  return acc.materialize();
-}
-
 }  // namespace hadfl::fl

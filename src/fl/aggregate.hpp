@@ -1,10 +1,5 @@
-// Model aggregation rules.
-//
-// FedAvg (paper Eq. 4) and HADFL's flag-masked partial aggregation (paper
-// Eq. 5). Eq. 5 as printed divides by K while summing only the Flag^k = 1
-// devices; aggregating a mean model requires normalizing by the number of
-// selected devices, which is what the reference decentralized-FedAvg
-// implementations do and what we implement (noted in EXPERIMENTS.md).
+// Model aggregation rules: FedAvg (paper Eq. 4). HADFL's partial
+// aggregation (Eq. 5) runs over the ring through core::ring_weights.
 #pragma once
 
 #include <vector>
@@ -16,11 +11,5 @@ namespace hadfl::fl {
 /// FedAvg: sample-count-weighted mean of client states (Eq. 2/4).
 std::vector<float> fedavg(const std::vector<std::vector<float>>& states,
                           const std::vector<std::size_t>& sample_counts);
-
-/// HADFL partial aggregation (Eq. 5): mean of the states whose flag is set.
-/// At least one flag must be set.
-std::vector<float> flagged_average(
-    const std::vector<std::vector<float>>& states,
-    const std::vector<bool>& flags);
 
 }  // namespace hadfl::fl

@@ -47,7 +47,7 @@ class Layer {
   Layer& operator=(const Layer&) = delete;
 
   /// Computes the layer output. `training` selects train-time behaviour
-  /// (batch statistics, dropout, ...). Implementations may cache activations
+  /// (batch statistics). Implementations may cache activations
   /// needed by backward; backward must be preceded by forward.
   virtual Tensor forward(const Tensor& input, bool training) = 0;
 

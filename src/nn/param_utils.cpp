@@ -98,35 +98,6 @@ std::vector<float> get_gradients(Layer& model) {
   return out;
 }
 
-void set_gradients(Layer& model, std::span<const float> grads) {
-  HADFL_CHECK_SHAPE(grads.size() == gradient_size(model),
-                    "gradient size " << grads.size()
-                                     << " != model gradient size "
-                                     << gradient_size(model));
-  if (model.packed()) {
-    const auto g = model.grad_view();
-    std::copy_n(grads.data(), grads.size(), g.data());
-    return;
-  }
-  std::size_t offset = 0;
-  for (Parameter* p : model.parameters()) {
-    if (!p->trainable) continue;
-    std::copy_n(grads.data() + offset, p->numel(), p->grad.data());
-    offset += p->numel();
-  }
-}
-
-void zero_gradients(Layer& model) {
-  if (model.packed()) {
-    const auto g = model.grad_view();
-    std::fill_n(g.data(), g.size(), 0.0f);
-    // Non-trainable buffers have no live gradient in the arena; their
-    // per-parameter grad tensors stay zero by construction.
-    return;
-  }
-  for (Parameter* p : model.parameters()) p->zero_grad();
-}
-
 std::vector<float> weighted_average(
     const std::vector<std::vector<float>>& states,
     const std::vector<double>& weights) {

@@ -92,12 +92,6 @@ void load_state(Layer& model, std::span<const float> state);
 /// Copies trainable gradients into one flat vector.
 std::vector<float> get_gradients(Layer& model);
 
-/// Overwrites trainable gradients from a flat vector. Size must match.
-void set_gradients(Layer& model, std::span<const float> grads);
-
-/// Zeroes all gradients.
-void zero_gradients(Layer& model);
-
 /// dst = sum_i weights[i] * states[i]; all states must have equal size,
 /// weights must match states in count, and the weight sum must be non-zero.
 /// Materializes every contributor — prefer StateAccumulator in hot paths.

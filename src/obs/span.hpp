@@ -3,7 +3,7 @@
 // A `Span` is one contiguous stretch of activity on one device (or on the
 // coordinator): local compute, a synchronization collective, a broadcast
 // push/integration, idle waiting, a stalled/aborted attempt, or a §III-D
-// ring repair. The simulator's `sim::TraceRecorder` and the rt runtime's
+// ring repair. The simulator (`HadflConfig::trace`) and the rt runtime's
 // `obs::SpanRecorder` both produce `Timeline`s over this one vocabulary,
 // so the same renderers and exporters (obs/export.hpp) apply to both — a
 // virtual-time Fig. 1 timeline and a wall-clock rt trace differ only in

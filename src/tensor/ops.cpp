@@ -208,37 +208,6 @@ void gemm_bt(const float* a, const float* b, float* c, std::size_t m,
   gemm_tiled(RowMajor{a, k}, Trans{b, k}, c, m, k, n, alpha, beta);
 }
 
-Tensor matmul(const Tensor& a, const Tensor& b) {
-  HADFL_CHECK_SHAPE(a.ndim() == 2 && b.ndim() == 2,
-                    "matmul requires 2-d tensors, got "
-                        << shape_to_string(a.shape()) << " x "
-                        << shape_to_string(b.shape()));
-  HADFL_CHECK_SHAPE(a.dim(1) == b.dim(0),
-                    "matmul inner dims mismatch: " << shape_to_string(a.shape())
-                                                   << " x "
-                                                   << shape_to_string(b.shape()));
-  Tensor c({a.dim(0), b.dim(1)});
-  gemm(a.data(), b.data(), c.data(), a.dim(0), a.dim(1), b.dim(1));
-  return c;
-}
-
-void axpy(float alpha, std::span<const float> x, std::span<float> y) {
-  HADFL_CHECK_SHAPE(x.size() == y.size(),
-                    "axpy size mismatch: " << x.size() << " vs " << y.size());
-  const float* HADFL_RESTRICT xp = x.data();
-  float* HADFL_RESTRICT yp = y.data();
-  const std::size_t n = x.size();
-  HADFL_PRAGMA_SIMD
-  for (std::size_t i = 0; i < n; ++i) yp[i] += alpha * xp[i];
-}
-
-void scale(float alpha, std::span<float> x) {
-  float* HADFL_RESTRICT xp = x.data();
-  const std::size_t n = x.size();
-  HADFL_PRAGMA_SIMD
-  for (std::size_t i = 0; i < n; ++i) xp[i] *= alpha;
-}
-
 double sum(std::span<const float> x) {
   const float* HADFL_RESTRICT xp = x.data();
   const std::size_t n = x.size();
@@ -248,39 +217,14 @@ double sum(std::span<const float> x) {
   return acc;
 }
 
-double squared_norm(std::span<const float> x) {
-  const float* HADFL_RESTRICT xp = x.data();
-  const std::size_t n = x.size();
-  double acc = 0.0;
-#pragma omp simd reduction(+ : acc)
-  for (std::size_t i = 0; i < n; ++i) {
-    acc += static_cast<double>(xp[i]) * xp[i];
-  }
-  return acc;
-}
-
-namespace {
-template <typename F>
-Tensor elementwise(const Tensor& a, const Tensor& b, F f, const char* name) {
-  HADFL_CHECK_SHAPE(a.shape() == b.shape(),
-                    name << " shape mismatch: " << shape_to_string(a.shape())
-                         << " vs " << shape_to_string(b.shape()));
-  Tensor out(a.shape());
-  for (std::size_t i = 0; i < a.numel(); ++i) out[i] = f(a[i], b[i]);
-  return out;
-}
-}  // namespace
-
 Tensor add(const Tensor& a, const Tensor& b) {
-  return elementwise(a, b, [](float x, float y) { return x + y; }, "add");
-}
-
-Tensor sub(const Tensor& a, const Tensor& b) {
-  return elementwise(a, b, [](float x, float y) { return x - y; }, "sub");
-}
-
-Tensor mul(const Tensor& a, const Tensor& b) {
-  return elementwise(a, b, [](float x, float y) { return x * y; }, "mul");
+  HADFL_CHECK_SHAPE(a.shape() == b.shape(),
+                    "add shape mismatch: " << shape_to_string(a.shape())
+                                           << " vs "
+                                           << shape_to_string(b.shape()));
+  Tensor out(a.shape());
+  for (std::size_t i = 0; i < a.numel(); ++i) out[i] = a[i] + b[i];
+  return out;
 }
 
 // ---- Reference kernels --------------------------------------------------

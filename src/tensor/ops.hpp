@@ -35,25 +35,11 @@ void gemm_bt(const float* a, const float* b, float* c, std::size_t m,
              std::size_t k, std::size_t n, float alpha = 1.0f,
              float beta = 0.0f);
 
-/// Tensor-level matmul; shapes (m,k) x (k,n) -> (m,n).
-Tensor matmul(const Tensor& a, const Tensor& b);
-
-/// y += alpha * x (sizes must match).
-void axpy(float alpha, std::span<const float> x, std::span<float> y);
-
-/// x *= alpha.
-void scale(float alpha, std::span<float> x);
-
 /// Sum of all elements (double accumulator).
 double sum(std::span<const float> x);
 
-/// Squared L2 norm (double accumulator).
-double squared_norm(std::span<const float> x);
-
-/// Elementwise binary ops; shapes must match.
+/// Elementwise sum; shapes must match.
 Tensor add(const Tensor& a, const Tensor& b);
-Tensor sub(const Tensor& a, const Tensor& b);
-Tensor mul(const Tensor& a, const Tensor& b);
 
 // ---- Reference kernels --------------------------------------------------
 // Unblocked triple loops with double accumulators, kept as the oracle the

@@ -381,7 +381,7 @@ int main(int argc, char** argv) {
           s.num_devices(), csv, trace_out, metrics_out,
           net_config.rt.telemetry);
     } else if (scheme == "hadfl") {
-      sim::TraceRecorder trace;
+      obs::Timeline trace;
       if (!trace_out.empty()) s.hadfl.trace = &trace;
       if (!metrics_out.empty()) {
         std::cerr << "--metrics-out requires --backend=rt|net; ignoring\n";

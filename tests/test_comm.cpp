@@ -7,7 +7,6 @@
 #include "comm/allreduce.hpp"
 #include "comm/broadcast.hpp"
 #include "comm/failure_detector.hpp"
-#include "comm/gossip.hpp"
 #include "comm/transport.hpp"
 #include "common/error.hpp"
 
@@ -254,19 +253,6 @@ TEST(AllReduce, DeadParticipantThrows) {
   cluster.faults().schedule_disconnect(2, 0.0);
   SimTransport t(cluster, sim::NetworkModel{});
   EXPECT_THROW(simulate_ring_allreduce(t, {0, 1, 2}, 100), CommError);
-}
-
-TEST(Gossip, SharesAllReduceSemantics) {
-  sim::Cluster cluster = make_cluster(2);
-  SimTransport t(cluster, sim::NetworkModel{});
-  std::vector<float> a{2};
-  std::vector<float> b{4};
-  gossip_ring_average(t, {0, 1}, {std::span<float>(a), std::span<float>(b)});
-  EXPECT_NEAR(a[0], 3.0f, 1e-6);
-  EXPECT_NEAR(gossip_ring_duration(sim::NetworkModel{0.001, 1e6}, 4, 4000000),
-              ring_allreduce_duration(sim::NetworkModel{0.001, 1e6}, 4,
-                                      4000000),
-              1e-12);
 }
 
 TEST(Broadcast, DeliversToAllLiveReceivers) {

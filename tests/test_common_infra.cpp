@@ -16,7 +16,7 @@
 #include "common/logging.hpp"
 #include "common/parallel.hpp"
 #include "common/thread_pool.hpp"
-#include "sim/trace.hpp"
+#include "obs/span.hpp"
 
 namespace hadfl {
 namespace {
@@ -196,9 +196,9 @@ TEST(Logging, LevelNames) {
 }
 
 TEST(TraceCsv, WritesAllSpanFields) {
-  sim::TraceRecorder trace;
-  trace.record(0, 0.0, 1.5, sim::SpanKind::kCompute, "warmup");
-  trace.record(2, 1.5, 2.0, sim::SpanKind::kSync);
+  obs::Timeline trace;
+  trace.record(0, 0.0, 1.5, obs::SpanKind::kCompute, "warmup");
+  trace.record(2, 1.5, 2.0, obs::SpanKind::kSync);
   const std::string path = ::testing::TempDir() + "/hadfl_trace_test.csv";
   trace.write_csv(path);
   std::ifstream in(path);

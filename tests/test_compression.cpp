@@ -1,11 +1,18 @@
-#include "comm/compression.hpp"
+// Tests for the sync-path delta codec (comm/delta_codec): int8 and top-k
+// chunk encodings, error feedback, and the compressed HADFL runs.
+#include "comm/delta_codec.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <numeric>
 
-#include "comm/delta_codec.hpp"
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "core/round_logic.hpp"
 #include "core/trainer.hpp"
 #include "exp/runner.hpp"
@@ -14,10 +21,34 @@
 namespace hadfl::comm {
 namespace {
 
-TEST(QuantizeInt8, RoundTripErrorBounded) {
+std::vector<float> int8_roundtrip(std::span<const float> chunk) {
+  std::vector<float> payload(int8_payload_floats(chunk.size()));
+  encode_int8_chunk(chunk, payload);
+  std::vector<float> decoded(chunk.size());
+  decode_int8_chunk(payload, decoded);
+  return decoded;
+}
+
+/// Straightforward int8 quantizer, kept as the oracle for encode_int8_chunk:
+/// scale = max|x|/127, each value rounded to the nearest step and clamped to
+/// [-127, 127], then multiplied back.
+std::vector<float> reference_int8_roundtrip(std::span<const float> x) {
+  float max_abs = 0.0f;
+  for (float v : x) max_abs = std::max(max_abs, std::fabs(v));
+  std::vector<float> out(x.size(), 0.0f);
+  if (max_abs == 0.0f) return out;
+  const float scale = max_abs / 127.0f;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    const auto q = static_cast<std::int8_t>(
+        std::clamp(static_cast<int>(std::lround(x[i] / scale)), -127, 127));
+    out[i] = static_cast<float>(q) * scale;
+  }
+  return out;
+}
+
+TEST(DeltaCodec, Int8RoundTripErrorBounded) {
   Tensor x = testutil::random_tensor({1000}, 1, 3.0f);
-  const QuantizedState q = quantize_int8(x.storage());
-  const std::vector<float> back = dequantize_int8(q);
+  const std::vector<float> back = int8_roundtrip(x.storage());
   float max_abs = 0.0f;
   for (std::size_t i = 0; i < x.numel(); ++i) {
     max_abs = std::max(max_abs, std::fabs(x[i]));
@@ -29,95 +60,28 @@ TEST(QuantizeInt8, RoundTripErrorBounded) {
   }
 }
 
-TEST(QuantizeInt8, WireSizeIsQuarterPlusScale) {
-  std::vector<float> x(4096, 1.0f);
-  const QuantizedState q = quantize_int8(x);
-  EXPECT_EQ(q.wire_bytes(), 4096u + sizeof(float));
+TEST(DeltaCodec, Int8AllZerosLossless) {
+  const std::vector<float> x(16, 0.0f);
+  std::vector<float> payload(int8_payload_floats(x.size()));
+  encode_int8_chunk(x, payload);
+  EXPECT_EQ(payload[0], 0.0f);  // scale
+  for (float v : int8_roundtrip(x)) EXPECT_EQ(v, 0.0f);
 }
 
-TEST(QuantizeInt8, AllZerosLossless) {
-  std::vector<float> x(16, 0.0f);
-  const QuantizedState q = quantize_int8(x);
-  EXPECT_EQ(q.scale, 0.0f);
-  for (float v : dequantize_int8(q)) EXPECT_EQ(v, 0.0f);
+TEST(DeltaCodec, Int8ExtremesMapToFullRange) {
+  const std::vector<float> x{-2.0f, 0.0f, 2.0f};
+  std::vector<float> payload(int8_payload_floats(x.size()));
+  encode_int8_chunk(x, payload);
+  std::int8_t packed[3];
+  std::memcpy(packed, payload.data() + 1, sizeof(packed));
+  EXPECT_EQ(packed[0], -127);
+  EXPECT_EQ(packed[1], 0);
+  EXPECT_EQ(packed[2], 127);
 }
 
-TEST(QuantizeInt8, ExtremesMapToFullRange) {
-  std::vector<float> x{-2.0f, 0.0f, 2.0f};
-  const QuantizedState q = quantize_int8(x);
-  EXPECT_EQ(q.values[0], -127);
-  EXPECT_EQ(q.values[1], 0);
-  EXPECT_EQ(q.values[2], 127);
-}
-
-TEST(TopK, KeepsLargestMagnitudes) {
-  std::vector<float> x{0.1f, -5.0f, 0.2f, 3.0f, -0.05f};
-  const SparseState s = sparsify_top_k(x, 2);
-  EXPECT_EQ(s.indices, (std::vector<std::uint32_t>{1, 3}));
-  EXPECT_EQ(s.values, (std::vector<float>{-5.0f, 3.0f}));
-  const std::vector<float> dense = densify(s);
-  EXPECT_EQ(dense, (std::vector<float>{0.0f, -5.0f, 0.0f, 3.0f, 0.0f}));
-}
-
-TEST(TopK, KClampedToSize) {
-  std::vector<float> x{1.0f, 2.0f};
-  const SparseState s = sparsify_top_k(x, 10);
-  EXPECT_EQ(s.indices.size(), 2u);
-}
-
-TEST(TopK, ZeroKeepsNothing) {
-  std::vector<float> x{1.0f, 2.0f};
-  const SparseState s = sparsify_top_k(x, 0);
-  EXPECT_TRUE(s.indices.empty());
-  EXPECT_EQ(densify(s), (std::vector<float>{0.0f, 0.0f}));
-}
-
-TEST(TopK, DensifyValidatesIndices) {
-  SparseState s;
-  s.dense_size = 2;
-  s.indices = {5};
-  s.values = {1.0f};
-  EXPECT_THROW(densify(s), hadfl::InvalidArgument);
-}
-
-TEST(Roundtrips, Int8InPlace) {
-  Tensor x = testutil::random_tensor({256}, 2, 2.0f);
-  Tensor original = x;
-  const std::size_t bytes = apply_int8_roundtrip(x.storage());
-  EXPECT_EQ(bytes, 256u + sizeof(float));
-  EXPECT_TRUE(x.allclose(original, 2.0f / 127.0f + 1e-6f));
-}
-
-TEST(Roundtrips, TopKPreservesReferencePlusLargestDeltas) {
-  std::vector<float> reference(10, 1.0f);
-  std::vector<float> state = reference;
-  state[3] += 5.0f;   // large delta — must survive
-  state[7] += 0.01f;  // small delta — dropped at 10% keep
-  apply_top_k_roundtrip(state, reference, 0.1);
-  EXPECT_NEAR(state[3], 6.0f, 1e-6);
-  EXPECT_NEAR(state[7], 1.0f, 1e-6);  // reverted to reference
-  EXPECT_NEAR(state[0], 1.0f, 1e-6);
-}
-
-TEST(Roundtrips, TopKValidation) {
-  std::vector<float> a(4, 1.0f);
-  std::vector<float> b(3, 1.0f);
-  EXPECT_THROW(apply_top_k_roundtrip(a, b, 0.5), hadfl::InvalidArgument);
-  std::vector<float> c(4, 1.0f);
-  EXPECT_THROW(apply_top_k_roundtrip(a, c, 0.0), hadfl::InvalidArgument);
-  EXPECT_THROW(apply_top_k_roundtrip(a, c, 1.5), hadfl::InvalidArgument);
-}
-
-// ------------------------------------------------- Delta codec chunk ops
-
-TEST(DeltaCodec, Int8ChunkRoundTripMatchesQuantizeInt8) {
+TEST(DeltaCodec, Int8ChunkRoundTripMatchesReferenceQuantizer) {
   Tensor x = testutil::random_tensor({100}, 5, 2.0f);
-  std::vector<float> payload(int8_payload_floats(x.numel()));
-  encode_int8_chunk(x.storage(), payload);
-  std::vector<float> decoded(x.numel());
-  decode_int8_chunk(payload, decoded);
-  const QuantizedState q = quantize_int8(x.storage());
-  EXPECT_EQ(decoded, dequantize_int8(q));
+  EXPECT_EQ(int8_roundtrip(x.storage()), reference_int8_roundtrip(x.storage()));
 }
 
 TEST(DeltaCodec, TopKChunkKeepsLargestMagnitudes) {
@@ -130,6 +94,112 @@ TEST(DeltaCodec, TopKChunkKeepsLargestMagnitudes) {
   decode_topk_chunk(payload, decoded);
   EXPECT_EQ(decoded,
             (std::vector<float>{0.0f, -5.0f, 0.0f, 3.0f, 0.0f}));
+}
+
+TEST(DeltaCodec, TopKDecodeRejectsBadIndexAndCount) {
+  std::vector<float> dst(2);
+  const std::vector<float> bad_index{std::bit_cast<float>(1u),
+                                     std::bit_cast<float>(5u), 1.0f};
+  EXPECT_THROW(decode_topk_chunk(bad_index, dst), InvalidArgument);
+  std::vector<float> oversized(topk_payload_floats(3), 0.0f);
+  oversized[0] = std::bit_cast<float>(3u);
+  EXPECT_THROW(decode_topk_chunk(oversized, dst), InvalidArgument);
+}
+
+TEST(DeltaCodec, TopKKeepCountRejectsBadRatio) {
+  EXPECT_THROW(topk_keep_count(0.0, 4), InvalidArgument);
+  EXPECT_THROW(topk_keep_count(1.5, 4), InvalidArgument);
+}
+
+/// The kept set of top-k by |x| descending, lowest index first on ties, in
+/// ascending index order. A full stable sort, so it is well defined for
+/// every chunk without a NaN.
+std::vector<std::uint32_t> fabs_topk(std::span<const float> chunk,
+                                     std::size_t k) {
+  std::vector<std::uint32_t> order(chunk.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return std::fabs(chunk[a]) > std::fabs(chunk[b]);
+                   });
+  order.resize(k);
+  std::sort(order.begin(), order.end());
+  return order;
+}
+
+std::vector<float> topk_payload(std::span<const float> chunk,
+                                const std::vector<std::uint32_t>& kept) {
+  std::vector<float> payload(topk_payload_floats(kept.size()));
+  payload[0] = std::bit_cast<float>(static_cast<std::uint32_t>(kept.size()));
+  for (std::size_t i = 0; i < kept.size(); ++i) {
+    payload[1 + i] = std::bit_cast<float>(kept[i]);
+    payload[1 + kept.size() + i] = chunk[kept[i]];
+  }
+  return payload;
+}
+
+/// A random chunk rich in ties, signed zeros, denormals and infinities.
+std::vector<float> random_finite_chunk(Rng& rng, std::size_t n) {
+  std::vector<float> chunk(n);
+  for (float& v : chunk) {
+    switch (rng.uniform_int(0, 5)) {
+      case 0: v = static_cast<float>(rng.normal()); break;
+      case 1: v = static_cast<float>(rng.uniform_int(-3, 3)) * 0.5f; break;
+      case 2: v = rng.uniform() < 0.5 ? 0.0f : -0.0f; break;
+      case 3:
+        v = std::numeric_limits<float>::denorm_min() *
+            static_cast<float>(rng.uniform_int(-4, 4));
+        break;
+      case 4:
+        v = rng.uniform() < 0.5 ? std::numeric_limits<float>::infinity()
+                                : -std::numeric_limits<float>::infinity();
+        break;
+      default: v = static_cast<float>(rng.normal(0.0, 1e-3)); break;
+    }
+  }
+  return chunk;
+}
+
+TEST(DeltaCodec, TopKOrdersLikeFabsAndRanksNanFirst) {
+  Rng rng(17);
+  // Without a NaN the kept set is exactly the |x| order's, byte for byte.
+  for (int trial = 0; trial < 2000; ++trial) {
+    const auto n = static_cast<std::size_t>(rng.uniform_int(1, 300));
+    const double ratio = rng.uniform(0.01, 1.0);
+    const std::vector<float> chunk = random_finite_chunk(rng, n);
+    std::vector<float> payload(
+        topk_payload_floats(topk_keep_count(ratio, n)));
+    encode_topk_chunk(chunk, ratio, payload);
+    const std::vector<float> expect =
+        topk_payload(chunk, fabs_topk(chunk, topk_keep_count(ratio, n)));
+    ASSERT_EQ(std::memcmp(payload.data(), expect.data(),
+                          payload.size() * sizeof(float)),
+              0)
+        << "trial " << trial;
+  }
+  // One NaN ranks above every other value: it is kept alongside the top
+  // k-1 of the rest.
+  const std::size_t n = 1000;
+  const double ratio = 0.01;
+  const std::size_t k = topk_keep_count(ratio, n);
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::vector<float> chunk(n);
+    for (float& v : chunk) v = static_cast<float>(rng.normal());
+    const auto nan_at = static_cast<std::uint32_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+    chunk[nan_at] = std::numeric_limits<float>::quiet_NaN();
+    std::vector<float> rest = chunk;
+    rest[nan_at] = 0.0f;  // never among the top k-1 of normal draws
+    std::vector<std::uint32_t> kept = fabs_topk(rest, k - 1);
+    kept.insert(std::upper_bound(kept.begin(), kept.end(), nan_at), nan_at);
+    std::vector<float> payload(topk_payload_floats(k));
+    encode_topk_chunk(chunk, ratio, payload);
+    const std::vector<float> expect = topk_payload(chunk, kept);
+    ASSERT_EQ(std::memcmp(payload.data(), expect.data(),
+                          payload.size() * sizeof(float)),
+              0)
+        << "trial " << trial << ", NaN at " << nan_at;
+  }
 }
 
 TEST(DeltaCodec, EncodedSizesAreDataIndependentSums) {
@@ -147,6 +217,9 @@ TEST(DeltaCodec, EncodedSizesAreDataIndependentSums) {
             per_chunk_sum);
   EXPECT_EQ(encoded_state_bytes(SyncCodec::kNone, n, chunks, 0.1),
             n * sizeof(float));
+  // int8: four values per float slot plus one scale slot.
+  EXPECT_EQ(encoded_chunk_bytes(SyncCodec::kInt8, 4096, 0.0),
+            4096u + sizeof(float));
 }
 
 // ----------------------------------------------------------- ErrorFeedback

@@ -1,216 +1,11 @@
-// Tests for the CIFAR-10 binary loader, augmentation, and dropout.
+// Tests for the step-decay learning-rate schedule.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
-
 #include "common/error.hpp"
-#include "data/augment.hpp"
-#include "data/batch_iterator.hpp"
-#include "data/cifar10.hpp"
-#include "data/synthetic.hpp"
-#include "nn/dropout.hpp"
 #include "nn/optimizer.hpp"
-#include "test_util.hpp"
 
 namespace hadfl {
 namespace {
-
-/// Builds a small CIFAR-shaped dataset with deterministic content.
-data::Dataset make_cifar_shaped(std::size_t n) {
-  Tensor images({n, 3, 32, 32});
-  std::vector<int> labels(n);
-  for (std::size_t i = 0; i < images.numel(); ++i) {
-    images[i] = static_cast<float>((i * 37) % 255) / 127.5f - 1.0f;
-  }
-  for (std::size_t r = 0; r < n; ++r) labels[r] = static_cast<int>(r % 10);
-  return data::Dataset(std::move(images), std::move(labels), 10);
-}
-
-class Cifar10Test : public ::testing::Test {
- protected:
-  std::string dir_ = ::testing::TempDir() + "/hadfl_cifar_test";
-  void SetUp() override { std::filesystem::create_directories(dir_); }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-};
-
-TEST_F(Cifar10Test, RoundTripBatch) {
-  const data::Dataset original = make_cifar_shaped(16);
-  const std::string path = dir_ + "/batch.bin";
-  data::save_cifar10_batch(path, original);
-  // File size matches the format spec exactly.
-  EXPECT_EQ(std::filesystem::file_size(path), 16 * data::kCifarRecordBytes);
-
-  const data::Dataset loaded = data::load_cifar10_batch(path);
-  EXPECT_EQ(loaded.size(), 16u);
-  EXPECT_EQ(loaded.labels(), original.labels());
-  // Pixels quantize to 8 bits: round trip within 1/127.5.
-  for (std::size_t i = 0; i < loaded.images().numel(); ++i) {
-    EXPECT_NEAR(loaded.images()[i], original.images()[i], 1.0f / 127.0f);
-  }
-}
-
-TEST_F(Cifar10Test, LoadsStandardDirectoryLayout) {
-  for (int b = 1; b <= 5; ++b) {
-    data::save_cifar10_batch(
-        dir_ + "/data_batch_" + std::to_string(b) + ".bin",
-        make_cifar_shaped(8));
-  }
-  data::save_cifar10_batch(dir_ + "/test_batch.bin", make_cifar_shaped(4));
-  const data::TrainTestSplit split = data::load_cifar10(dir_);
-  EXPECT_EQ(split.train.size(), 40u);
-  EXPECT_EQ(split.test.size(), 4u);
-  EXPECT_EQ(split.train.num_classes(), 10u);
-}
-
-TEST_F(Cifar10Test, RejectsMissingAndMalformed) {
-  EXPECT_THROW(data::load_cifar10_batch(dir_ + "/missing.bin"), Error);
-  // Wrong size file.
-  {
-    std::ofstream out(dir_ + "/bad.bin", std::ios::binary);
-    out << "too short";
-  }
-  EXPECT_THROW(data::load_cifar10_batch(dir_ + "/bad.bin"), Error);
-  // Bad label byte.
-  {
-    std::ofstream out(dir_ + "/badlabel.bin", std::ios::binary);
-    std::vector<char> record(data::kCifarRecordBytes, 0);
-    record[0] = 11;  // label out of range
-    out.write(record.data(), static_cast<std::streamsize>(record.size()));
-  }
-  EXPECT_THROW(data::load_cifar10_batch(dir_ + "/badlabel.bin"), Error);
-}
-
-TEST_F(Cifar10Test, SaveRejectsWrongShape) {
-  data::SyntheticConfig cfg;
-  cfg.image_size = 8;
-  cfg.train_samples = 4;
-  cfg.test_samples = 4;
-  const auto split = data::make_synthetic_cifar(cfg);
-  EXPECT_THROW(data::save_cifar10_batch(dir_ + "/x.bin", split.train),
-               InvalidArgument);
-}
-
-TEST(Augment, FlipReversesRows) {
-  std::vector<float> image{1, 2, 3,  //
-                           4, 5, 6};
-  data::flip_horizontal(image.data(), 1, 2, 3);
-  EXPECT_EQ(image, (std::vector<float>{3, 2, 1, 6, 5, 4}));
-}
-
-TEST(Augment, FlipTwiceIsIdentity) {
-  Tensor img = testutil::random_tensor({1, 3, 4, 4}, 3);
-  Tensor copy = img;
-  data::flip_horizontal(img.data(), 3, 4, 4);
-  data::flip_horizontal(img.data(), 3, 4, 4);
-  EXPECT_TRUE(img.allclose(copy));
-}
-
-TEST(Augment, CenteredCropIsIdentity) {
-  Tensor img = testutil::random_tensor({1, 2, 4, 4}, 4);
-  Tensor copy = img;
-  data::shift_crop(img.data(), 2, 4, 4, 1, 1, 1);  // dy = dx = pad
-  EXPECT_TRUE(img.allclose(copy));
-}
-
-TEST(Augment, ShiftIntroducesZeroBorder) {
-  Tensor img({1, 1, 2, 2}, 5.0f);
-  data::shift_crop(img.data(), 1, 2, 2, 1, 0, 0);  // read from (-1, -1)
-  // Row 0 and column 0 come from the zero padding.
-  EXPECT_EQ(img.at4(0, 0, 0, 0), 0.0f);
-  EXPECT_EQ(img.at4(0, 0, 0, 1), 0.0f);
-  EXPECT_EQ(img.at4(0, 0, 1, 0), 0.0f);
-  EXPECT_EQ(img.at4(0, 0, 1, 1), 5.0f);  // original (0, 0)
-}
-
-TEST(Augment, ApplyPreservesShapeAndLabels) {
-  data::SyntheticConfig cfg;
-  cfg.image_size = 8;
-  cfg.train_samples = 32;
-  cfg.test_samples = 4;
-  const auto split = data::make_synthetic_cifar(cfg);
-  data::Batch batch = split.train.gather({0, 1, 2, 3});
-  const std::vector<int> labels = batch.y;
-  data::Augmentor aug(data::AugmentConfig{});
-  Rng rng(5);
-  aug.apply(batch, rng);
-  EXPECT_EQ(batch.x.shape(), (Shape{4, 3, 8, 8}));
-  EXPECT_EQ(batch.y, labels);
-}
-
-TEST(Augment, BatchIteratorAppliesAugmentation) {
-  data::SyntheticConfig cfg;
-  cfg.image_size = 8;
-  cfg.train_samples = 16;
-  cfg.test_samples = 4;
-  cfg.noise_std = 0.0;  // deterministic images
-  const auto split = data::make_synthetic_cifar(cfg);
-  std::vector<std::size_t> idx{0};
-  data::BatchIterator plain(split.train, idx, 1, Rng(1));
-  data::BatchIterator augmented(split.train, idx, 1, Rng(1));
-  data::AugmentConfig acfg;
-  acfg.crop_padding = 2;
-  acfg.horizontal_flip = true;
-  acfg.flip_probability = 1.0;  // always flip -> definitely different
-  augmented.set_augmentor(data::Augmentor(acfg));
-  const data::Batch a = plain.next();
-  const data::Batch b = augmented.next();
-  EXPECT_FALSE(a.x.allclose(b.x));
-}
-
-TEST(Augment, RejectsBadFlipProbability) {
-  data::AugmentConfig cfg;
-  cfg.flip_probability = 1.5;
-  EXPECT_THROW(data::Augmentor{cfg}, InvalidArgument);
-}
-
-TEST(Dropout, EvalIsIdentity) {
-  nn::Dropout layer(0.5);
-  Tensor x = testutil::random_tensor({4, 8}, 1);
-  Tensor y = layer.forward(x, /*training=*/false);
-  EXPECT_TRUE(y.allclose(x));
-}
-
-TEST(Dropout, TrainingZeroesAndScales) {
-  nn::Dropout layer(0.5, 42);
-  Tensor x({1, 1000}, 1.0f);
-  Tensor y = layer.forward(x, /*training=*/true);
-  std::size_t zeros = 0;
-  double sum = 0.0;
-  for (std::size_t i = 0; i < y.numel(); ++i) {
-    if (y[i] == 0.0f) {
-      ++zeros;
-    } else {
-      EXPECT_NEAR(y[i], 2.0f, 1e-6);  // inverted scaling 1/(1-p)
-    }
-    sum += y[i];
-  }
-  EXPECT_NEAR(static_cast<double>(zeros) / 1000.0, 0.5, 0.08);
-  EXPECT_NEAR(sum / 1000.0, 1.0, 0.1);  // expectation preserved
-}
-
-TEST(Dropout, BackwardUsesSameMask) {
-  nn::Dropout layer(0.3, 7);
-  Tensor x({1, 64}, 1.0f);
-  Tensor y = layer.forward(x, true);
-  Tensor g({1, 64}, 1.0f);
-  Tensor gi = layer.backward(g);
-  for (std::size_t i = 0; i < 64; ++i) {
-    EXPECT_EQ(gi[i] == 0.0f, y[i] == 0.0f);  // same positions dropped
-  }
-}
-
-TEST(Dropout, ZeroProbabilityIsPassThrough) {
-  nn::Dropout layer(0.0);
-  Tensor x = testutil::random_tensor({2, 4}, 2);
-  EXPECT_TRUE(layer.forward(x, true).allclose(x));
-}
-
-TEST(Dropout, RejectsBadProbability) {
-  EXPECT_THROW(nn::Dropout(1.0), InvalidArgument);
-  EXPECT_THROW(nn::Dropout(-0.1), InvalidArgument);
-}
 
 TEST(StepDecay, DecaysAfterWarmup) {
   nn::StepDecaySchedule sched(nn::WarmupSchedule(0.1, 0.01, 2),

@@ -142,18 +142,6 @@ TEST(Aggregate, FedavgValidation) {
   EXPECT_THROW(fedavg({{1.0f}}, {1, 2}), InvalidArgument);
 }
 
-TEST(Aggregate, FlaggedAverageSelectsSubset) {
-  const std::vector<std::vector<float>> states{{1.0f}, {3.0f}, {100.0f}};
-  const std::vector<float> out =
-      flagged_average(states, {true, true, false});
-  EXPECT_NEAR(out[0], 2.0f, 1e-6);
-}
-
-TEST(Aggregate, FlaggedAverageNeedsAtLeastOneFlag) {
-  EXPECT_THROW(flagged_average({{1.0f}}, {false}), InvalidArgument);
-  EXPECT_THROW(flagged_average({{1.0f}}, {true, false}), InvalidArgument);
-}
-
 TEST(Scheme, ItersPerEpochRoundsUp) {
   EXPECT_EQ(iters_per_epoch(256, 64), 4u);
   EXPECT_EQ(iters_per_epoch(257, 64), 5u);

@@ -289,6 +289,33 @@ TEST(FleetEngine, RejectsUnsupportedConfigs) {
                                        core::FleetConfig{}),
                  Error);
   }
+  // Settings the engine would otherwise ignore silently.
+  {
+    exp::FleetWorld world(fw);
+    world.scenario().hadfl.adaptive.enabled = true;
+    EXPECT_THROW(core::run_hadfl_fleet(world.context(),
+                                       world.scenario().hadfl,
+                                       core::FleetConfig{}),
+                 InvalidArgument);
+  }
+  {
+    exp::FleetWorld world(fw);
+    obs::Timeline trace;
+    world.scenario().hadfl.trace = &trace;
+    EXPECT_THROW(core::run_hadfl_fleet(world.context(),
+                                       world.scenario().hadfl,
+                                       core::FleetConfig{}),
+                 InvalidArgument);
+  }
+  {
+    exp::FleetWorld world(fw);
+    world.cluster().faults().schedule_drift(
+        sim::DriftEvent{.device = 0, .from_round = 1, .factor = 4.0});
+    EXPECT_THROW(core::run_hadfl_fleet(world.context(),
+                                       world.scenario().hadfl,
+                                       core::FleetConfig{}),
+                 InvalidArgument);
+  }
 }
 
 TEST(CowStateStore, CreateZeroedIsAnOrdinarySlab) {

@@ -217,7 +217,7 @@ TEST(Hadfl, PredictorModesAllRun) {
 
 TEST(Hadfl, RecordsExecutionTrace) {
   exp::Scenario s = fast_scenario();
-  sim::TraceRecorder trace;
+  obs::Timeline trace;
   s.hadfl.trace = &trace;
   exp::Environment env(s);
   fl::SchemeContext ctx = env.context();
@@ -230,9 +230,9 @@ TEST(Hadfl, RecordsExecutionTrace) {
     EXPECT_LT(span.device, s.num_devices());
     EXPECT_LE(span.end, r.scheme.total_time + 1e-9);
     switch (span.kind) {
-      case sim::SpanKind::kCompute: ++compute; break;
-      case sim::SpanKind::kSync: ++sync; break;
-      case sim::SpanKind::kBroadcast: ++broadcast; break;
+      case obs::SpanKind::kCompute: ++compute; break;
+      case obs::SpanKind::kSync: ++sync; break;
+      case obs::SpanKind::kBroadcast: ++broadcast; break;
       default: break;
     }
   }

@@ -60,12 +60,6 @@ TEST(Quantiles, RejectsEmptyValuesAndBadQ) {
   EXPECT_THROW(quantiles({1.0}, {0.5, 1.1}), InvalidArgument);
 }
 
-TEST(ThirdQuartile, MatchesQuantile75) {
-  const std::vector<double> v{10, 20, 30, 40, 50};
-  EXPECT_DOUBLE_EQ(third_quartile(v), quantile(v, 0.75));
-  EXPECT_DOUBLE_EQ(third_quartile(v), 40.0);
-}
-
 TEST(MeanStddev, KnownValues) {
   EXPECT_DOUBLE_EQ(mean({1, 2, 3, 4}), 2.5);
   EXPECT_NEAR(stddev({2, 4, 4, 4, 5, 5, 7, 9}), 2.138089935299395, 1e-12);

@@ -35,6 +35,7 @@ std::string temp_path(const std::string& name) {
 
 TEST(Span, KindNamesAndCharsCoverEveryKind) {
   EXPECT_STREQ(span_kind_name(SpanKind::kCompute), "compute");
+  EXPECT_STREQ(span_kind_name(SpanKind::kBroadcast), "broadcast");
   EXPECT_STREQ(span_kind_name(SpanKind::kRepair), "repair");
   EXPECT_EQ(span_kind_char(SpanKind::kCompute), '#');
   EXPECT_EQ(span_kind_char(SpanKind::kSync), 'S');
@@ -56,6 +57,7 @@ TEST(Timeline, RecordsAndFiltersByDevice) {
   EXPECT_EQ(d0[0].label, "train");
   EXPECT_EQ(d0[1].kind, SpanKind::kBroadcast);
   EXPECT_TRUE(tl.spans_for(7).empty());
+  EXPECT_THROW(tl.record(0, 2.0, 1.0, SpanKind::kIdle), InvalidArgument);
 }
 
 TEST(Timeline, RenderUsesKindCharsIncludingRepair) {
@@ -63,6 +65,7 @@ TEST(Timeline, RenderUsesKindCharsIncludingRepair) {
   tl.record(0, 0.0, 1.0, SpanKind::kCompute);
   tl.record(1, 0.0, 1.0, SpanKind::kRepair);
   const std::string art = tl.render_timeline(2, 20);
+  EXPECT_NE(art.find("dev0 |"), std::string::npos);
   EXPECT_NE(art.find('#'), std::string::npos);
   EXPECT_NE(art.find('R'), std::string::npos);
 }

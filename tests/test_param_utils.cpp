@@ -76,19 +76,6 @@ TEST(ParamUtils, LoadStateRejectsWrongSize) {
   EXPECT_THROW(load_state(seq, wrong), ShapeError);
 }
 
-TEST(ParamUtils, GradientRoundTripAndZero) {
-  auto net = make_net();
-  Sequential& seq = *net;
-  std::vector<float> grads(gradient_size(seq));
-  for (std::size_t i = 0; i < grads.size(); ++i) {
-    grads[i] = static_cast<float>(i) * 0.1f;
-  }
-  set_gradients(seq, grads);
-  EXPECT_EQ(get_gradients(seq), grads);
-  zero_gradients(seq);
-  for (float g : get_gradients(seq)) EXPECT_EQ(g, 0.0f);
-}
-
 TEST(ParamUtils, WeightedAverageExact) {
   const std::vector<std::vector<float>> states{{1, 2}, {3, 6}};
   const std::vector<float> avg = weighted_average(states, {0.25, 0.75});

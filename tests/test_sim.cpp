@@ -3,9 +3,7 @@
 #include "common/error.hpp"
 #include "sim/cluster.hpp"
 #include "sim/device_table.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/network.hpp"
-#include "sim/trace.hpp"
 
 namespace hadfl::sim {
 namespace {
@@ -284,155 +282,6 @@ TEST(Cluster, Validation) {
   EXPECT_THROW(cluster.time(5), InvalidArgument);
   EXPECT_THROW(cluster.advance(0, -1.0), InvalidArgument);
   EXPECT_THROW(cluster.barrier({}), InvalidArgument);
-}
-
-TEST(EventQueue, RunsInTimeOrder) {
-  EventQueue q;
-  std::vector<int> order;
-  q.schedule(3.0, [&](SimTime) { order.push_back(3); });
-  q.schedule(1.0, [&](SimTime) { order.push_back(1); });
-  q.schedule(2.0, [&](SimTime) { order.push_back(2); });
-  EXPECT_EQ(q.run(), 3u);
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(q.now(), 3.0);
-}
-
-TEST(EventQueue, StableForEqualTimes) {
-  EventQueue q;
-  std::vector<int> order;
-  q.schedule(1.0, [&](SimTime) { order.push_back(10); });
-  q.schedule(1.0, [&](SimTime) { order.push_back(20); });
-  q.run();
-  EXPECT_EQ(order, (std::vector<int>{10, 20}));
-}
-
-TEST(EventQueue, RunUntilBound) {
-  EventQueue q;
-  int count = 0;
-  q.schedule(1.0, [&](SimTime) { ++count; });
-  q.schedule(5.0, [&](SimTime) { ++count; });
-  EXPECT_EQ(q.run(2.0), 1u);
-  EXPECT_EQ(count, 1);
-  EXPECT_EQ(q.pending(), 1u);
-}
-
-TEST(EventQueue, EventsCanScheduleEvents) {
-  EventQueue q;
-  int fired = 0;
-  q.schedule(1.0, [&](SimTime now) {
-    q.schedule(now + 1.0, [&](SimTime) { ++fired; });
-  });
-  q.run();
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(q.now(), 2.0);
-}
-
-TEST(EventQueue, RejectsPastAndNull) {
-  EventQueue q;
-  q.schedule(5.0, [](SimTime) {});
-  q.run();
-  EXPECT_THROW(q.schedule(1.0, [](SimTime) {}), InvalidArgument);
-  EXPECT_THROW(q.schedule(10.0, nullptr), InvalidArgument);
-}
-
-TEST(EventQueue, InfinityIsARealTimestampNotASentinel) {
-  EventQueue q;
-  int fired = 0;
-  q.schedule(std::numeric_limits<SimTime>::infinity(),
-             [&](SimTime) { ++fired; });
-  q.schedule(1.0, [&](SimTime) { ++fired; });
-  // A finite bound must never reach the infinity event...
-  EXPECT_EQ(q.run(1e308), 1u);
-  EXPECT_EQ(q.pending(), 1u);
-  // ...but the default (unbounded) run executes it.
-  EXPECT_EQ(q.run(), 1u);
-  EXPECT_EQ(fired, 2);
-  EXPECT_EQ(q.now(), std::numeric_limits<SimTime>::infinity());
-}
-
-TEST(EventQueue, FarFutureTimestampsKeepOrdering) {
-  EventQueue q;
-  std::vector<int> order;
-  q.schedule(1e300, [&](SimTime) { order.push_back(2); });
-  q.schedule(1.0, [&](SimTime) { order.push_back(1); });
-  q.schedule(1e301, [&](SimTime) { order.push_back(3); });
-  EXPECT_EQ(q.run(1e299), 1u);
-  EXPECT_EQ(q.pending(), 2u);
-  q.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(q.now(), 1e301);
-}
-
-TEST(EventQueue, LargeEqualTimeCohortPopsInInsertionOrder) {
-  EventQueue q;
-  std::vector<int> order;
-  // Interleave one big equal-time cohort with earlier/later strays so the
-  // batched drain has to separate three cohorts.
-  q.schedule(2.0, [&](SimTime) { order.push_back(-1); });
-  for (int i = 0; i < 500; ++i) {
-    q.schedule(5.0, [&, i](SimTime) { order.push_back(i); });
-  }
-  q.schedule(9.0, [&](SimTime) { order.push_back(-2); });
-  EXPECT_EQ(q.run(), 502u);
-  ASSERT_EQ(order.size(), 502u);
-  EXPECT_EQ(order.front(), -1);
-  EXPECT_EQ(order.back(), -2);
-  for (int i = 0; i < 500; ++i) EXPECT_EQ(order[1 + i], i);
-}
-
-TEST(EventQueue, EqualTimeScheduleDuringBatchRunsAfterCohort) {
-  EventQueue q;
-  std::vector<int> order;
-  q.schedule(1.0, [&](SimTime now) {
-    order.push_back(1);
-    // Same instant, scheduled mid-drain: lands after the current cohort,
-    // exactly where a one-at-a-time drain would put it.
-    q.schedule(now, [&](SimTime) { order.push_back(3); });
-  });
-  q.schedule(1.0, [&](SimTime) { order.push_back(2); });
-  EXPECT_EQ(q.run(), 3u);
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(EventQueue, RecyclesCallbackSlotsAcrossCycles) {
-  EventQueue q;
-  int fired = 0;
-  // Steady-state schedule/run cycles: ordering and counts stay exact while
-  // the pooled slots are reused (pending never exceeds the live window).
-  for (int cycle = 0; cycle < 50; ++cycle) {
-    const SimTime base = static_cast<SimTime>(cycle) * 10.0;
-    for (int i = 0; i < 20; ++i) {
-      q.schedule(base + static_cast<SimTime>(i % 4), [&](SimTime) { ++fired; });
-    }
-    EXPECT_EQ(q.run(), 20u);
-    EXPECT_TRUE(q.empty());
-  }
-  EXPECT_EQ(fired, 50 * 20);
-}
-
-TEST(Trace, RecordAndQuery) {
-  TraceRecorder trace;
-  trace.record(0, 0.0, 1.0, SpanKind::kCompute, "train");
-  trace.record(1, 0.5, 2.0, SpanKind::kSync);
-  EXPECT_EQ(trace.spans().size(), 2u);
-  EXPECT_EQ(trace.spans_for(0).size(), 1u);
-  EXPECT_EQ(trace.end_time(), 2.0);
-  EXPECT_THROW(trace.record(0, 2.0, 1.0, SpanKind::kIdle), InvalidArgument);
-}
-
-TEST(Trace, TimelineRendersRows) {
-  TraceRecorder trace;
-  trace.record(0, 0.0, 1.0, SpanKind::kCompute);
-  trace.record(1, 0.0, 0.5, SpanKind::kSync);
-  const std::string timeline = trace.render_timeline(2, 10);
-  EXPECT_NE(timeline.find("dev0 |"), std::string::npos);
-  EXPECT_NE(timeline.find('#'), std::string::npos);
-  EXPECT_NE(timeline.find('S'), std::string::npos);
-}
-
-TEST(Trace, KindNames) {
-  EXPECT_STREQ(span_kind_name(SpanKind::kCompute), "compute");
-  EXPECT_STREQ(span_kind_name(SpanKind::kBroadcast), "broadcast");
 }
 
 }  // namespace
