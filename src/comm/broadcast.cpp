@@ -1,29 +1,10 @@
 #include "comm/broadcast.hpp"
 
-#include <algorithm>
+#include <utility>
 
-#include "common/error.hpp"
 #include "common/logging.hpp"
 
 namespace hadfl::comm {
-
-BroadcastResult broadcast_nonblocking(SimTransport& transport, DeviceId src,
-                                      const std::vector<DeviceId>& dsts,
-                                      std::size_t bytes) {
-  BroadcastResult result;
-  for (DeviceId dst : dsts) {
-    HADFL_CHECK_ARG(dst != src, "broadcast destination equals source");
-    try {
-      const SimTime arrival = transport.send_nonblocking(src, dst, bytes);
-      result.delivered.push_back(dst);
-      result.last_arrival = std::max(result.last_arrival, arrival);
-    } catch (const CommError&) {
-      HADFL_WARN("broadcast: device " << dst << " unreachable, skipping");
-      result.unreachable.push_back(dst);
-    }
-  }
-  return result;
-}
 
 BroadcastResult broadcast_nonblocking(SimTransport& transport, DeviceId src,
                                       const std::vector<DeviceId>& dsts,

@@ -19,15 +19,12 @@ struct BroadcastResult {
 /// Pushes `bytes` from `src` to each destination. The sender's clock is not
 /// advanced (hand-off to the NIC); each reachable destination is advanced
 /// to its arrival time. Destinations that are down are reported, not fatal.
+/// The O(dsts) per-receiver work (link timing, liveness, clock advancement)
+/// is spread over `threads` via SimTransport::send_fanout, with results
+/// bit-identical at any thread count.
 BroadcastResult broadcast_nonblocking(SimTransport& transport, DeviceId src,
                                       const std::vector<DeviceId>& dsts,
-                                      std::size_t bytes);
-
-/// Same semantics and bit-identical results, with the O(dsts) per-receiver
-/// work (link timing, liveness, clock advancement) spread over `threads`
-/// via SimTransport::send_fanout — the fleet engine's K-wide broadcast.
-BroadcastResult broadcast_nonblocking(SimTransport& transport, DeviceId src,
-                                      const std::vector<DeviceId>& dsts,
-                                      std::size_t bytes, std::size_t threads);
+                                      std::size_t bytes,
+                                      std::size_t threads = 1);
 
 }  // namespace hadfl::comm

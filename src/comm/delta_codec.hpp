@@ -9,7 +9,7 @@
 // `x - decode(encode(x))` into the next round so convergence is preserved.
 //
 // Everything here is backend-neutral chunk arithmetic shared by the
-// simulator (src/core/trainer.cpp), the threaded runtime
+// simulator (src/core/fleet.cpp), the threaded runtime
 // (src/rt/collectives.cpp) and the socket backend (src/net/) — the three
 // must produce bit-identical decoded values and agree on the priced wire
 // size, so both live in exactly one place.

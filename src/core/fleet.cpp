@@ -1,8 +1,10 @@
 #include "core/fleet.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <map>
+#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -33,12 +35,12 @@ using nn::CowStateStore;
 using SlabId = CowStateStore::SlabId;
 
 /// A reusable training seat: one packed model + one SGD. A device's slab is
-/// loaded into the seat, trained, and written back — the same arithmetic
-/// run_hadfl performs on the device's private model, since packed models of
-/// one architecture share the arena layout. With momentum > 0 the device's
-/// velocity slab is loaded into the seat's optimizer before the burst and
-/// saved back after, so the seat itself still carries no cross-episode
-/// state.
+/// loaded into the seat, trained, and written back — the same arithmetic a
+/// private per-device model performs (the rt workers keep one), since packed
+/// models of one architecture share the arena layout. With momentum > 0 the
+/// device's velocity slab is loaded into the seat's optimizer before the
+/// burst and saved back after, so the seat itself still carries no
+/// cross-episode state.
 struct TrainerSlot {
   std::unique_ptr<nn::Sequential> model;
   std::unique_ptr<nn::Sgd> optimizer;
@@ -103,8 +105,9 @@ class FleetEngine {
     sync_slab_[d] = slab;
   }
 
-  /// Exact per-device-order mean — the same StateAccumulator fold
-  /// mean_state_of runs, reading slab views instead of model arenas.
+  /// Exact per-device-order mean — the same StateAccumulator fold the rt
+  /// backend's mean_state_of runs, reading slab views instead of model
+  /// arenas.
   std::vector<float> mean_state_exact(const std::vector<sim::DeviceId>& ids);
   /// Class-folded mean (cohort mode): one accumulate per distinct slab,
   /// weighted by its share — same value up to float fold order.
@@ -129,12 +132,28 @@ class FleetEngine {
                        const std::vector<double>& predicted,
                        std::vector<sim::DeviceId>& selected_this_round,
                        std::vector<float>& eval_state);
+  /// One ring collective: folds the members' states — on a delta round,
+  /// their codec-encoded deltas against the shared reference — into
+  /// `aggregate` and prices it on the transport. Returns whether it was a
+  /// delta round; throws CommError when a member dies mid-collective.
+  bool sync_ring(const std::vector<sim::DeviceId>& ring,
+                 std::vector<float>& aggregate);
   void broadcast_integrate(const std::vector<sim::DeviceId>& delivered,
                            const std::vector<float>& aggregate,
                            double version_mean);
   void inter_group_sync(const DeviceGroups& groups,
                         const LivenessMonitor& liveness,
                         std::vector<float>& eval_state);
+
+  /// One codec-encoded state exchange: the full-size wire price scaled by
+  /// the codec's data-independent compression ratio.
+  std::size_t delta_wire_bytes() const {
+    return effective_wire_bytes(
+        wire_bytes_,
+        comm::encoded_state_bytes(plan_->codec, state_floats_,
+                                  plan_->sync_chunks, plan_->topk_ratio),
+        state_floats_ * sizeof(float));
+  }
 
   /// A cohort covering the whole fleet has nothing to sample.
   bool exact_mode() const {
@@ -146,15 +165,16 @@ class FleetEngine {
     return (n + kFleetGrain - 1) / kFleetGrain;
   }
   /// Runs fn(range_index, begin, end) over the fixed grid on up to
-  /// `threads_` threads. The serial fallback lands everything in range 0,
-  /// so per-range partials must merge through neutral initial values.
-  /// A range accumulates its partial in locals and writes its slot once,
-  /// at the end: neighbouring slots share cache lines, and the pool runs
-  /// neighbouring ranges on different threads.
+  /// `threads` threads (0 = threads_). The serial fallback lands everything
+  /// in range 0, so per-range partials must merge through neutral initial
+  /// values. A range accumulates its partial in locals and writes its slot
+  /// once, at the end: neighbouring slots share cache lines, and the pool
+  /// runs neighbouring ranges on different threads.
   void for_ranges(std::size_t n,
                   const std::function<void(std::size_t, std::size_t,
-                                           std::size_t)>& fn) {
-    parallel_chunks(n, kFleetGrain, threads_,
+                                           std::size_t)>& fn,
+                  std::size_t threads = 0) {
+    parallel_chunks(n, kFleetGrain, threads == 0 ? threads_ : threads,
                     [&](std::size_t begin, std::size_t end) {
                       fn(begin / kFleetGrain, begin, end);
                     });
@@ -228,6 +248,25 @@ class FleetEngine {
   TrainingStrategy strategy_;
   std::vector<double> prev_actual_;  ///< full-K kLastValue history
   double epochs_done_ = 0.0;
+
+  // ---- adaptive controller (src/ctrl) and delta codec; their per-device
+  // state is sized only when the feature is on ----
+  std::unique_ptr<ctrl::AdaptiveController> controller_;  ///< null if off
+  std::vector<float> prev_eval_;  ///< controller's round-over-round signal
+  /// This round's codec knobs: the controller's plan in adaptive mode, the
+  /// static configuration otherwise (whose budgets stay in strategy_).
+  ctrl::RoundPlan static_plan_;
+  const ctrl::RoundPlan* plan_ = &static_plan_;
+  /// Each successful sync stamps its participants and the broadcast
+  /// receivers it reaches with a fresh reference epoch. Devices sharing an
+  /// epoch hold bit-identical last-sync references, the precondition for
+  /// exchanging encoded deltas against them (the rt backend uses its
+  /// collective ids the same way).
+  std::vector<comm::ErrorFeedback> feedback_;
+  std::vector<std::int64_t> ref_epoch_;
+  std::int64_t sync_epoch_ = 0;
+  std::vector<float> sync_scratch_;   ///< delta-round update staging
+  std::vector<float> codec_payload_;  ///< per-chunk encode staging
 
   FleetResult result_;
 };
@@ -313,14 +352,17 @@ void FleetEngine::run_jobs(std::vector<TrainJob>& jobs, double learning_rate) {
   if (jobs.empty()) return;
   const double start = span_now();
   for (TrainJob& job : jobs) batches_for(job.id);  // serial map fill
+  // Lanes claim jobs one at a time, so mixed step budgets balance across
+  // lanes. A slot carries no state from one job to the next, so which lane
+  // runs a job never changes its bits.
   const std::size_t lanes = std::min(slots_.size(), jobs.size());
+  std::atomic<std::size_t> next_job{0};
   parallel_for_each(
       lanes,
       [&](std::size_t lane) {
         TrainerSlot& slot = slots_[lane];
         slot.optimizer->set_learning_rate(learning_rate);
-        const auto [begin, end] = chunk_range(jobs.size(), lanes, lane);
-        for (std::size_t j = begin; j < end; ++j) {
+        for (std::size_t j = next_job++; j < jobs.size(); j = next_job++) {
           TrainJob& job = jobs[j];
           nn::load_state(*slot.model, job.state);
           if (vstore_) slot.optimizer->load_velocity(job.velocity);
@@ -436,19 +478,29 @@ void FleetEngine::warm_up(std::size_t num_groups) {
   // would. Devices advance unsynced over the fixed range grid (disjoint
   // ids ⇒ disjoint clock slots and jitter streams); per-range clock maxima
   // fold back afterwards.
+  // A trace records each device's span in turn, so it walks serially.
   std::vector<sim::SimTime> epoch_times(k_);
   const std::size_t ranges = range_count(k_);
   std::vector<sim::SimTime> range_clock(ranges, 0.0);
-  for_ranges(k_, [&](std::size_t r, std::size_t begin, std::size_t end) {
-    sim::SimTime clock_max = 0.0;
-    for (std::size_t d = begin; d < end; ++d) {
-      const sim::SimTime duration = cluster_.advance_compute_unsynced(
-          d, static_cast<std::size_t>(warmup_epochs) * ipe_[d]);
-      epoch_times[d] = duration / static_cast<double>(warmup_epochs);
-      clock_max = std::max(clock_max, cluster_.time(d));
-    }
-    range_clock[r] = clock_max;
-  });
+  for_ranges(
+      k_,
+      [&](std::size_t r, std::size_t begin, std::size_t end) {
+        sim::SimTime clock_max = 0.0;
+        for (std::size_t d = begin; d < end; ++d) {
+          const sim::SimTime start = cluster_.time(d);
+          const sim::SimTime duration = cluster_.advance_compute_unsynced(
+              d, static_cast<std::size_t>(warmup_epochs) * ipe_[d]);
+          // The device reports its calculation time T_i to the coordinator.
+          epoch_times[d] = duration / static_cast<double>(warmup_epochs);
+          clock_max = std::max(clock_max, cluster_.time(d));
+          if (config_.trace != nullptr) {
+            config_.trace->record(d, start, cluster_.time(d),
+                                  obs::SpanKind::kCompute, "negotiation");
+          }
+        }
+        range_clock[r] = clock_max;
+      },
+      config_.trace != nullptr ? 1 : threads_);
   for (const sim::SimTime t : range_clock) cluster_.note_clock(t);
   cluster_.barrier_all();
   result_.extras.negotiated_epoch_times.assign(
@@ -460,10 +512,23 @@ void FleetEngine::warm_up(std::size_t num_groups) {
   const StrategyGenerator generator(config_.strategy);
   strategy_ = generator.generate(epoch_times, ipe_);
   result_.extras.strategy = strategy_;
-  HADFL_INFO("hadfl-fleet strategy: H_E=" << strategy_.hyperperiod
-                                          << "s window="
-                                          << strategy_.round_window << "s");
+  HADFL_INFO("hadfl strategy: H_E=" << strategy_.hyperperiod << "s window="
+                                    << strategy_.round_window << "s");
   epochs_done_ = warmup_epochs;
+
+  if (config_.adaptive.enabled) {
+    // Seeded from the warm-up, so its first plans reproduce the static
+    // strategy exactly.
+    std::vector<double> step_time(k_);
+    for (std::size_t d = 0; d < k_; ++d) {
+      step_time[d] = epoch_times[d] / static_cast<double>(ipe_[d]);
+    }
+    controller_ = std::make_unique<ctrl::AdaptiveController>(
+        config_.adaptive, std::move(step_time), strategy_.round_window,
+        strategy_.local_steps, config_.sync_chunks, config_.compression,
+        config_.top_k_ratio);
+    plan_ = &controller_->plan();
+  }
 }
 
 void FleetEngine::full_sync_after_negotiation() {
@@ -478,8 +543,8 @@ void FleetEngine::full_sync_after_negotiation() {
     const SlabId shared = store_->create(mean);
     for (const sim::DeviceId d : reachable) {
       store_->retain(shared);
-      rebind_state(d, shared);  // run_hadfl load_states the model only;
-                                // the last-sync reference stays put
+      rebind_state(d, shared);  // the model only; the last-sync
+                                // reference stays put
     }
     store_->release(shared);
   } catch (const CommError&) {
@@ -492,9 +557,9 @@ void FleetEngine::record_point(const std::vector<float>& eval_state) {
   const fl::EvalResult eval = fl::evaluate(*reference_, ctx_.test);
   double loss_sum = 0.0;
   double loss_weight = 0.0;
-  // Exact mode: every device with executed > 0 trained, so this is
-  // run_hadfl's executed-weighted sum (executed == 0 contributes nothing
-  // there too). Cohort mode: untrained devices carry stale losses, so only
+  // Exact mode: every device with executed > 0 trained, so this is the
+  // executed-weighted sum over all devices (executed == 0 contributes
+  // nothing). Cohort mode: untrained devices carry stale losses, so only
   // the trained cohort enters the point.
   for (std::size_t d = 0; d < k_; ++d) {
     if (trained_this_round_[d] == 0) continue;
@@ -557,29 +622,38 @@ bool FleetEngine::aggregate_group(
   }
   const double fold_start = span_now();
 
-  // Fault-tolerant gossip aggregation (§III-D) — the run_hadfl loop with
-  // slab views in place of model arenas.
+  // Fault-tolerant gossip aggregation (§III-D). A device can die *between*
+  // the repair scan and the collective (its fault window opens mid-sync);
+  // the CommError then triggers another repair pass, exactly like the
+  // timeout would in a real deployment.
   std::vector<float> aggregate;
+  bool delta_round = false;
   for (int attempt = 0; attempt < 4 && !ring.empty(); ++attempt) {
     const comm::RingRepairResult repair =
         comm::repair_ring(transport_, ring, config_.repair);
     result_.extras.ring_repairs += repair.repairs;
+    if (config_.trace != nullptr) {
+      // Same vocabulary as the rt backend: each bypass shows as a kRepair
+      // span covering the §III-D wait + handshake window, drawn on the
+      // bypassed device's row (which goes silent afterwards).
+      for (const sim::DeviceId dead : repair.removed) {
+        const sim::SimTime t = cluster_.time(dead);
+        config_.trace->record(dead, t,
+                              t + config_.repair.wait_before_handshake +
+                                  config_.repair.handshake_timeout,
+                              obs::SpanKind::kRepair, "bypassed");
+      }
+    }
     ring = repair.ring;
     if (ring.empty()) break;
     try {
-      const std::vector<double> weights =
-          ring_weights(ctx_.partition, ring, config_.weight_by_samples);
-      ring_fold_.reset(state_floats_);
-      for (std::size_t m = 0; m < ring.size(); ++m) {
-        ring_fold_.add(0, state_of(ring[m]), weights[m]);
-      }
-      comm::simulate_ring_allreduce(transport_, ring, wire_bytes_);
-      aggregate.resize(ring_fold_.size());
-      ring_fold_.write(0, aggregate);
+      delta_round = sync_ring(ring, aggregate);
       break;
     } catch (const CommError&) {
       HADFL_WARN("partial sync hit a mid-collective fault; repairing");
       aggregate.clear();
+      // Move past the failure instant so the next repair pass sees the
+      // fault and bypasses the dead member.
       for (const sim::DeviceId id : ring) {
         cluster_.advance(id, config_.repair.wait_before_handshake);
       }
@@ -596,8 +670,8 @@ bool FleetEngine::aggregate_group(
   for (const sim::DeviceId id : ring) version_mean += version_[id];
   version_mean /= static_cast<double>(ring.size());
 
-  // apply_aggregate, dedup'd: every ring member's state AND last-sync
-  // reference become the same bits, so all of them share one slab.
+  // Every ring member's state AND last-sync reference become the aggregate's
+  // bits, so all of them share one slab.
   const SlabId agg_slab = store_->create(aggregate);
   for (const sim::DeviceId id : ring) {
     store_->retain(agg_slab);
@@ -607,18 +681,68 @@ bool FleetEngine::aggregate_group(
     version_[id] = version_mean;
   }
   store_->release(agg_slab);
+  const std::int64_t base_epoch = delta_round ? ref_epoch_[ring.front()] : 0;
+  const std::int64_t sync_id = ++sync_epoch_;
+  if (!ref_epoch_.empty()) {
+    for (const sim::DeviceId id : ring) {
+      ref_epoch_[id] = sync_id;
+      // A delta round's encode error becomes the committed residual; a raw
+      // round transmitted the exact state, so residual memory resets.
+      if (delta_round) {
+        feedback_[id].commit();
+      } else {
+        feedback_[id].clear();
+      }
+    }
+  }
 
   // Non-blocking broadcast to the unselected members, in candidate order.
-  const std::vector<sim::DeviceId> others =
+  // After a delta round, receivers still holding its base reference take
+  // the codec-encoded fold (the rt backend re-ships the phase-2 encodings
+  // verbatim); every other receiver gets the exact dense aggregate, which
+  // realigns a stale one. Codec sizes are data-independent, so both legs
+  // are priced by formula. Either way a receiver reconstructs the
+  // aggregate bit-exactly, integrates it with the same mix, and joins the
+  // new reference epoch; its error-feedback residual is untouched.
+  std::vector<sim::DeviceId> others =
       filter_ids(candidates, [&](sim::DeviceId id) {
         return std::find(ring.begin(), ring.end(), id) == ring.end();
       });
   if (!others.empty()) {
     const sim::DeviceId src = ring[static_cast<std::size_t>(rng_.uniform_int(
         0, static_cast<std::int64_t>(ring.size()) - 1))];
-    const comm::BroadcastResult bc = comm::broadcast_nonblocking(
-        transport_, src, others, wire_bytes_, threads_);
-    broadcast_integrate(bc.delivered, aggregate, version_mean);
+    const sim::SimTime bc_start = cluster_.time(src);
+    std::vector<sim::DeviceId> delivered;
+    const auto push = [&](const std::vector<sim::DeviceId>& to,
+                          std::size_t bytes) {
+      comm::BroadcastResult bc =
+          comm::broadcast_nonblocking(transport_, src, to, bytes, threads_);
+      if (delivered.empty()) {
+        delivered = std::move(bc.delivered);
+      } else {
+        delivered.insert(delivered.end(), bc.delivered.begin(),
+                         bc.delivered.end());
+      }
+    };
+    if (delta_round) {
+      const auto stale = std::stable_partition(
+          others.begin(), others.end(),
+          [&](sim::DeviceId id) { return ref_epoch_[id] == base_epoch; });
+      const std::vector<sim::DeviceId> fresh(others.begin(), stale);
+      others.erase(others.begin(), stale);
+      if (!fresh.empty()) push(fresh, delta_wire_bytes());
+    }
+    if (!others.empty()) push(others, wire_bytes_);
+    if (config_.trace != nullptr) {
+      for (const sim::DeviceId id : delivered) {
+        config_.trace->record(id, bc_start, cluster_.time(id),
+                              obs::SpanKind::kBroadcast, "broadcast");
+      }
+    }
+    if (!ref_epoch_.empty()) {
+      for (const sim::DeviceId id : delivered) ref_epoch_[id] = sync_id;
+    }
+    broadcast_integrate(delivered, aggregate, version_mean);
   }
 
   if (eval_state.empty()) {
@@ -628,6 +752,90 @@ bool FleetEngine::aggregate_group(
   }
   span(fold_start, obs::SpanKind::kBroadcast, "fold");
   return true;
+}
+
+bool FleetEngine::sync_ring(const std::vector<sim::DeviceId>& ring,
+                            std::vector<float>& aggregate) {
+  // Members whose references agree exchange codec-encoded deltas against
+  // that shared reference (comm/delta_codec.hpp) and fold exactly what the
+  // wire delivers. A stale member (it missed a broadcast), or the round
+  // after the controller switched codecs, forces a raw exact round, which
+  // realigns everyone. The fold is the ring-order double-precision
+  // accumulation the rt pipelined collective computes chunk by chunk, so
+  // both land on identical bits.
+  const comm::SyncCodec codec = plan_->codec;
+  const double ratio = plan_->topk_ratio;
+  const std::size_t n = state_floats_;
+  const std::size_t chunks = comm::resolve_chunk_count(plan_->sync_chunks, n);
+  bool delta = codec != SyncCompression::kNone && !plan_->force_raw;
+  for (const sim::DeviceId id : ring) {
+    delta = delta && ref_epoch_[id] == ref_epoch_[ring.front()];
+  }
+  const std::vector<double> weights =
+      ring_weights(ctx_.partition, ring, config_.weight_by_samples);
+  ring_fold_.reset(n);
+  for (std::size_t m = 0; m < ring.size(); ++m) {
+    if (!delta) {
+      ring_fold_.add(0, state_of(ring[m]), weights[m]);
+      continue;
+    }
+    // u_m = x_m - r + e_m passes through the codec chunk by chunk; the
+    // encode error is staged as the next error-feedback residual.
+    const std::span<const float> state = state_of(ring[m]);
+    sync_scratch_.assign(state.begin(), state.end());
+    comm::ErrorFeedback& feedback = feedback_[ring[m]];
+    feedback.ensure(n);
+    comm::form_delta_update(sync_scratch_, store_->view(sync_slab_[ring[m]]),
+                            feedback.residual);
+    for (std::size_t c = 0; c < chunks; ++c) {
+      const auto [b, e] = chunk_range(n, chunks, c);
+      codec_payload_.resize(comm::encoded_chunk_floats(codec, e - b, ratio));
+      comm::roundtrip_chunk_staged(
+          codec, ratio, std::span<float>(sync_scratch_).subspan(b, e - b),
+          std::span<float>(feedback.staged).subspan(b, e - b),
+          codec_payload_);
+    }
+    ring_fold_.add(0, sync_scratch_, weights[m]);
+  }
+  const std::size_t wire = delta ? delta_wire_bytes() : wire_bytes_;
+  sim::SimTime sync_start = 0.0;  // when the slowest member arrives
+  for (const sim::DeviceId id : ring) {
+    sync_start = std::max(sync_start, cluster_.time(id));
+  }
+  const sim::SimTime sync_done =
+      comm::simulate_ring_allreduce(transport_, ring, wire);
+  if (controller_) {
+    controller_->observe_sync(sync_done - sync_start, wire);
+    bool any_slow = false;
+    for (const sim::DeviceId id : ring) {
+      any_slow = any_slow || bandwidth_scales_[id] <
+                                 config_.adaptive.slow_link_threshold;
+    }
+    controller_->observe_slow_link(any_slow);
+  }
+  // Eq. 2 objective when weight_by_samples, else plain Eq. 5.
+  aggregate.resize(n);
+  ring_fold_.write(0, aggregate);
+  if (delta) {
+    // Phase-2 mirror: the folded delta circulates encoded, so everyone
+    // commits reference + decode(encode(fold)).
+    for (std::size_t c = 0; c < chunks; ++c) {
+      const auto [b, e] = chunk_range(n, chunks, c);
+      codec_payload_.resize(comm::encoded_chunk_floats(codec, e - b, ratio));
+      comm::roundtrip_folded_chunk(
+          codec, ratio, std::span<float>(aggregate).subspan(b, e - b),
+          codec_payload_);
+    }
+    const std::span<const float> ref = store_->view(sync_slab_[ring.front()]);
+    for (std::size_t i = 0; i < n; ++i) aggregate[i] = ref[i] + aggregate[i];
+  }
+  if (config_.trace != nullptr) {
+    for (const sim::DeviceId id : ring) {
+      config_.trace->record(id, sync_start, sync_done, obs::SpanKind::kSync,
+                            "partial sync");
+    }
+  }
+  return delta;
 }
 
 void FleetEngine::broadcast_integrate(
@@ -725,8 +933,8 @@ void FleetEngine::inter_group_sync(const DeviceGroups& groups,
   std::vector<float> mixed;
   for (std::size_t g = 0; g < groups.size() && g < leaders.size(); ++g) {
     // Available non-leader members mix the global state in; classes are
-    // keyed by state slab only (the last-sync reference is untouched, as
-    // in run_hadfl's inter-group pass).
+    // keyed by state slab only (the inter-group pass leaves the last-sync
+    // reference untouched).
     std::map<SlabId, std::vector<sim::DeviceId>> classes;
     for (const sim::DeviceId id : groups[g]) {
       if (!liveness.is_available(id)) continue;
@@ -760,21 +968,18 @@ FleetResult FleetEngine::run() {
   HADFL_CHECK_ARG(config_.broadcast_mix_weight >= 0.0 &&
                       config_.broadcast_mix_weight <= 1.0,
                   "broadcast mix weight must be in [0, 1]");
-  HADFL_CHECK_ARG(config_.compression == SyncCompression::kNone,
-                  "fleet engine supports the uncompressed sync codec only "
-                  "(the compressed-delta path needs per-device "
-                  "error-feedback residuals, which would defeat the "
-                  "shared-slab model store)");
-  HADFL_CHECK_ARG(!config_.adaptive.enabled,
-                  "fleet engine does not run the adaptive controller");
-  HADFL_CHECK_ARG(config_.trace == nullptr,
-                  "fleet engine records no per-device trace; its phase spans "
-                  "go to FleetConfig::recorder");
-  HADFL_CHECK_ARG(!cluster_.faults().has_drift(),
-                  "fleet engine does not apply scheduled speed drift");
   policy_ = config_.policy;
   if (!policy_) policy_ = std::make_shared<GaussianQuartileSelection>();
   if (!exact_mode()) {
+    // Untrained cohort devices hold no private state between rounds, so
+    // there are no per-device residuals or measured step times to keep.
+    HADFL_CHECK_ARG(config_.compression == SyncCompression::kNone,
+                    "sampled-cohort mode supports the uncompressed sync "
+                    "codec only (the compressed-delta path needs per-device "
+                    "error-feedback residuals)");
+    HADFL_CHECK_ARG(!config_.adaptive.enabled,
+                    "sampled-cohort mode does not run the adaptive "
+                    "controller");
     HADFL_CHECK_ARG(fleet_.cohort >= config_.strategy.select_count,
                     "fleet cohort " << fleet_.cohort
                                     << " smaller than select_count "
@@ -796,6 +1001,14 @@ FleetResult FleetEngine::run() {
   cluster_.reset_clocks();
   result_.scheme.scheme_name = "hadfl-fleet";
   result_.stats.devices = k_;
+  static_plan_.codec = config_.compression;
+  static_plan_.topk_ratio = config_.top_k_ratio;
+  static_plan_.sync_chunks = config_.sync_chunks;
+  if (config_.compression != SyncCompression::kNone ||
+      config_.adaptive.enabled) {
+    feedback_.resize(k_);
+    ref_epoch_.assign(k_, 0);  // 0 = the initial dispatch, shared by all
+  }
 
   init_fleet();
   build_slots(default_compute_threads());
@@ -850,17 +1063,33 @@ FleetResult FleetEngine::run() {
     ++round;
     std::fill(trained_this_round_.begin(), trained_this_round_.end(),
               std::uint8_t{0});
+    // Per-round knobs: the controller's plan when adaptive mode is on, the
+    // static configuration otherwise (the controller's initial plan holds
+    // these same values, so warm-up rounds match the static run too).
+    const std::vector<std::size_t>& budgets =
+        controller_ ? plan_->local_steps : strategy_.local_steps;
     const sim::SimTime window = strategy_.round_window;
     const sim::SimTime t0 = cluster_.max_time();
+    // Injected speed drift (sim/fault.hpp) scales step times; without
+    // scheduled drift the walk skips the lookup.
+    const bool drifting = cluster_.faults().has_drift();
+    // The controller and the trace observe each device's burst in turn,
+    // so with either attached the walk runs serially.
+    const bool observed = controller_ || config_.trace != nullptr;
+    const std::string label =
+        config_.trace != nullptr ? "round " + std::to_string(round) : "";
 
     // Fused O(K) round walk over the fixed range grid: align to t0,
     // availability, jitter draw, deadline-truncated step budget (analytic:
     // what fits the window given the device's iteration time and this
-    // burst's jitter draw), burst + window advancement, version bump. Every
-    // device touches only its own clock slot and jitter stream, so ranges
-    // run unsynced; the partials — integer-valued executed sums, clock
-    // maxima, trained-id lists — are order-independent or merge in range
-    // order, keeping every thread count bit-identical to the serial walk.
+    // burst's jitter and drift), burst + window advancement, version bump.
+    // A disturbed device executes fewer steps by the window boundary; its
+    // parameter version falls behind, which the supervisor and selection
+    // then react to. Every device touches only its own clock slot and
+    // jitter stream, so ranges run unsynced; the partials — integer-valued
+    // executed sums, clock maxima, trained-id lists — are order-independent
+    // or merge in range order, keeping every thread count bit-identical to
+    // the serial walk.
     // In exact mode the SGD for every budget runs below (via jobs); in
     // cohort mode the budgets stand on their own and only each group's
     // cohort SGD runs later.
@@ -878,17 +1107,28 @@ FleetResult FleetEngine::run() {
       for (std::size_t d = begin; d < end; ++d) {
         cluster_.advance_to_unsynced(d, t0);
         // == liveness.is_available(d) after the align: time(d) is now t0.
+        // The monitor's view is taken *before* the round: a device that
+        // disconnects mid-round is still selectable, and the §III-D ring
+        // repair handles it, as in the paper's Fig. 2b walkthrough.
         available_at_start[d] =
             cluster_.faults().alive(d, t0) ? std::uint8_t{1} : std::uint8_t{0};
         const double jitter = cluster_.sample_jitter_factor(d);
-        const double iter_time = cluster_.iteration_time(d) * jitter;
+        double iter_time = cluster_.iteration_time(d) * jitter;
+        if (drifting) iter_time *= cluster_.faults().drift_multiplier(d, round);
         const auto fit = static_cast<std::size_t>(
             std::max(0.0, std::floor(window / iter_time + 1e-9)));
-        const std::size_t executed = std::min(strategy_.local_steps[d], fit);
+        const std::size_t executed = std::min(budgets[d], fit);
         last_executed_[d] = executed;
         if (train_all && executed > 0) train.push_back(d);
         cluster_.advance_unsynced(d,
                                   iter_time * static_cast<double>(executed));
+        if (observed && executed > 0) {
+          if (controller_) controller_->observe_step_time(d, iter_time);
+          if (config_.trace != nullptr) {
+            config_.trace->record(d, t0, cluster_.time(d),
+                                  obs::SpanKind::kCompute, label);
+          }
+        }
         cluster_.advance_to_unsynced(d, t0 + window);
         version_[d] += static_cast<double>(executed);
         executed_sum += static_cast<double>(executed);
@@ -897,7 +1137,7 @@ FleetResult FleetEngine::run() {
       range_executed[r] = executed_sum;
       range_clock[r] = clock_max;
       range_train[r] = std::move(train);
-    });
+    }, observed ? 1 : threads_);
     double executed_total = 0.0;
     std::vector<TrainJob> jobs;
     for (std::size_t r = 0; r < ranges; ++r) {
@@ -973,6 +1213,25 @@ FleetResult FleetEngine::run() {
       eval_state = mean_state(avail);
     }
     record_point(eval_state);
+    if (controller_) {
+      // Convergence signal: relative round-over-round aggregate movement.
+      // Every backend derives it from successive evaluation states, so the
+      // codec policy sees the same quantity everywhere.
+      if (prev_eval_.size() == eval_state.size()) {
+        double num = 0.0;
+        double den = 0.0;
+        for (std::size_t i = 0; i < eval_state.size(); ++i) {
+          const double diff = static_cast<double>(eval_state[i]) -
+                              static_cast<double>(prev_eval_[i]);
+          num += diff * diff;
+          den += static_cast<double>(prev_eval_[i]) *
+                 static_cast<double>(prev_eval_[i]);
+        }
+        if (den > 0.0) controller_->observe_delta_norm(std::sqrt(num / den));
+      }
+      prev_eval_ = eval_state;
+      controller_->end_round();
+    }
     model_manager.update(eval_state, round);
     ++result_.scheme.sync_rounds;
   }

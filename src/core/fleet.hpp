@@ -1,20 +1,17 @@
-// Fleet-scale HADFL trainer: one process, 10^4–10^6 devices.
+// The HADFL simulator: one process, 4 to 10^6 devices.
 //
-// run_hadfl (core/trainer.cpp) materializes one model, one optimizer, one
-// batch iterator and one last-sync reference per device — O(K) model
-// memory and O(K) training compute per round, which tops out around a few
-// hundred devices. The fleet engine reproduces the same protocol with
-// per-device model state deduplicated through a copy-on-write slab store
-// (nn/cow_store.hpp): a device handle is two slab ids (model state +
-// last-sync reference), devices that share bits share slabs, and a device
-// materializes a private copy only when it is about to train. Training runs
-// on a fixed pool of reusable trainer slots (model + SGD), so resident
-// model memory is O(distinct states), not O(K). With momentum > 0 each
-// device additionally carries an optimizer-velocity slab in a second CoW
-// store: untouched devices share one zero slab, so resident optimizer
-// memory is O(trained cohort), not O(K), and a trained device's momentum
-// history round-trips through its slab exactly as run_hadfl's per-device
-// Sgd would carry it.
+// The engine keeps no per-device model objects. Per-device model state is
+// deduplicated through a copy-on-write slab store (nn/cow_store.hpp): a
+// device handle is two slab ids (model state + last-sync reference),
+// devices that share bits share slabs, and a device materializes a private
+// copy only when it is about to train. Training runs on a fixed pool of
+// reusable trainer slots (model + SGD), so resident model memory is
+// O(distinct states), not O(K). With momentum > 0 each device additionally
+// carries an optimizer-velocity slab in a second CoW store: untouched
+// devices share one zero slab, so resident optimizer memory is
+// O(trained cohort), not O(K), and a trained device's momentum history
+// round-trips through its slab exactly as a private per-device Sgd would
+// carry it.
 //
 // Parallel round work: all per-round O(K) scalar sweeps — clock
 // advancement, jitter draws, step-budget arithmetic, availability,
@@ -29,14 +26,19 @@
 // Two modes:
 //
 //  * Exact (`cohort == 0`, or any cohort >= K — a cohort covering the
-//    fleet has nothing to sample): every device trains every round,
-//    exactly like run_hadfl. Bit-identical guarantee — a seeded exact-mode
-//    run produces the same final_state bits, total_time and communication
-//    volume as run_hadfl on the same context (tests/test_fleet.cpp pins
-//    this at K=8, including momentum > 0 and hierarchical grouping): the
-//    RNG draw order, the ring-fold order, and every elementwise float op
-//    match the original loop; slab sharing and class-based broadcast
-//    integration only deduplicate computations whose inputs are bit-equal.
+//    fleet has nothing to sample): every device trains every round. This
+//    is the simulator path — core::run_hadfl is exact mode with uncapped
+//    diagnostics — and the reference the rt and net backends are pinned
+//    to bit for bit (tests/test_rt.cpp, tests/test_net.cpp). Slab sharing
+//    and class-based broadcast integration only deduplicate computations
+//    whose inputs are bit-equal. Exact mode also runs:
+//      - the compressed-delta sync codec (comm/delta_codec.hpp), with
+//        per-device error-feedback residuals and reference epochs;
+//      - the adaptive controller (src/ctrl), which re-plans step budgets,
+//        the chunk grid and the codec each round;
+//      - a per-device HadflConfig::trace (negotiation, compute, sync,
+//        broadcast and repair spans);
+//      - scheduled speed drift (sim/fault.hpp), applied in the clock walk.
 //    Memory still reaches O(K) slabs after warm-up (every device's warm-up
 //    trajectory differs), so exact mode is the validation path, not the
 //    scale path.
@@ -52,22 +54,24 @@
 //    plan_ring draws). Every unselected device is priced analytically:
 //    executed steps, parameter versions, virtual clocks, selection
 //    dynamics and wire volume are computed exactly (they depend only on
-//    the strategy, jitter draws and the fault plan, not on model floats);
-//    only the unselected devices' model drift is approximated (their slabs
-//    move through shared broadcast integration, not private SGD) — the
-//    `fleet_scale --drift` bench quantifies that deviation against cohort
-//    size. Warm-up trains a min(cohort × groups, K) id-prefix sample and
-//    reuses its mean loss. Documented approximations: bucketed quartiles
-//    and counter-keyed Efraimidis–Soules sampling replace the exact
-//    selection draw stream; means over device sets are folded per slab
-//    class (count-weighted, ordered by first member) rather than per
-//    device; train-loss points cover the trained cohort only. Supports the
-//    gaussian-quartile (Eq. 8) and top-k selection policies through the
-//    same bucketed top-N machinery.
+//    the strategy, jitter and drift draws and the fault plan, not on model
+//    floats); only the unselected devices' model drift is approximated
+//    (their slabs move through shared broadcast integration, not private
+//    SGD) — the `fleet_scale --drift` bench quantifies that deviation
+//    against cohort size. Warm-up trains a min(cohort × groups, K)
+//    id-prefix sample and reuses its mean loss. Documented approximations:
+//    bucketed quartiles and counter-keyed Efraimidis–Soules sampling
+//    replace the exact selection draw stream; means over device sets are
+//    folded per slab class (count-weighted, ordered by first member)
+//    rather than per device; train-loss points cover the trained cohort
+//    only. Supports the gaussian-quartile (Eq. 8) and top-k selection
+//    policies through the same bucketed top-N machinery. The trace and
+//    speed drift work as in exact mode, since both are analytic; a
+//    compressed sync codec and adaptive mode throw InvalidArgument, since
+//    untrained devices keep no residuals or measured step times.
 //
-// Both modes reject a compressed sync codec, HadflConfig::trace, adaptive
-// mode and scheduled speed drift with InvalidArgument; per-round phase spans
-// (`select`, `clock`, `train`, `fold`) go to FleetConfig::recorder when set.
+// Per-round phase spans (`select`, `clock`, `train`, `fold`) go to
+// FleetConfig::recorder when set, in either mode.
 #pragma once
 
 #include "core/trainer.hpp"
@@ -80,14 +84,14 @@ class SpanRecorder;
 namespace hadfl::core {
 
 struct FleetConfig {
-  /// 0 = exact mode (every device trains; bit-identical to run_hadfl).
+  /// 0 = exact mode (every device trains; what run_hadfl runs).
   /// > 0 = sampled-cohort mode: that many devices train per round per
   /// selection domain (per group when grouping is hierarchical). Must be
   /// >= the strategy's select_count. A cohort >= K degrades to exact mode.
   std::size_t cohort = 0;
 
-  /// Hard cap on synchronization rounds; 0 = run to the epoch budget like
-  /// run_hadfl. Fleet benches set a small cap so a K=100k sweep finishes.
+  /// Hard cap on synchronization rounds; 0 = run to the epoch budget.
+  /// Fleet benches set a small cap so a K=100k sweep finishes.
   std::size_t max_rounds = 0;
 
   /// Per-round per-device diagnostic series (actual/predicted versions) are
@@ -119,9 +123,9 @@ struct FleetStats {
   /// Momentum-velocity CoW store high-water marks (0 when momentum == 0).
   std::size_t peak_velocity_slabs = 0;
   std::size_t peak_velocity_bytes = 0;
-  /// What run_hadfl would keep resident for the same fleet: one model state
-  /// plus one last-sync reference per device, plus (momentum > 0) one
-  /// optimizer-velocity buffer per device.
+  /// What one private model per device would keep resident for the same
+  /// fleet: one model state plus one last-sync reference per device, plus
+  /// (momentum > 0) one optimizer-velocity buffer per device.
   std::size_t naive_state_bytes = 0;
   std::size_t ring_repairs = 0;
 };

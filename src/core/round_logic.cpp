@@ -158,22 +158,4 @@ void WeightedRingFold::write(std::size_t offset, std::span<float> dst) const {
             std::span<const double>(acc_).subspan(offset, dst.size()));
 }
 
-double ring_version_mean(const std::vector<DeviceState>& devices,
-                         const std::vector<sim::DeviceId>& ring) {
-  double version_mean = 0.0;
-  for (sim::DeviceId id : ring) version_mean += devices[id].version;
-  return version_mean / static_cast<double>(ring.size());
-}
-
-void apply_aggregate(std::vector<DeviceState>& devices,
-                     const std::vector<sim::DeviceId>& ring,
-                     const std::vector<float>& aggregate,
-                     double version_mean) {
-  for (sim::DeviceId id : ring) {
-    nn::load_state(*devices[id].model, aggregate);
-    devices[id].version = version_mean;
-    devices[id].last_sync_state = aggregate;
-  }
-}
-
 }  // namespace hadfl::core

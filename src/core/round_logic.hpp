@@ -1,20 +1,19 @@
 // Backend-agnostic pieces of the HADFL round (paper Alg. 1 + §III).
 //
 // Two execution backends share this logic:
-//  * the virtual-clock simulator (core/trainer.cpp, comm::SimTransport) —
+//  * the virtual-clock simulator (core/fleet.cpp, comm::SimTransport) —
 //    deterministic evaluation on per-device Lamport clocks;
-//  * the real-time concurrent runtime (src/rt) — one worker thread per
-//    device, mailbox message passing, wall-clock timing.
+//  * the real-time concurrent runtime (src/rt, and src/net over sockets) —
+//    one worker per device, message passing, wall-clock timing.
 //
 // Everything that decides *what* the algorithm computes lives here —
 // device-state initialization (including the exact RNG split sequence, so
 // both backends derive identical streams from one seed), version
-// prediction, probability-based selection + ring generation, the ring
-// aggregation rule, and broadcast integration. Everything that decides
-// *when/where* it executes (clock advancement vs. real threads and
-// transports) stays in the backends. A seeded run with timing noise
-// disabled therefore produces bit-identical aggregates on both backends
-// (tests/test_rt.cpp pins this).
+// prediction, probability-based selection + ring generation, and the ring
+// aggregation rule. Everything that decides *when/where* it executes
+// (clock advancement vs. real threads and transports) stays in the
+// backends. A seeded run with timing noise disabled therefore produces
+// bit-identical aggregates on both backends (tests/test_rt.cpp pins this).
 #pragma once
 
 #include <memory>
@@ -30,9 +29,10 @@
 
 namespace hadfl::core {
 
-/// Per-device runtime state (the device side of Fig. 2a). In the simulator
-/// all states live on the coordinator thread; in the rt backend each worker
-/// thread exclusively owns its entry between synchronization points.
+/// Per-device runtime state of the rt and net backends (the device side of
+/// Fig. 2a): each worker exclusively owns its entry between
+/// synchronization points. The simulator keeps the same quantities as
+/// copy-on-write slabs and per-device arrays (core/fleet.cpp).
 struct DeviceState {
   std::unique_ptr<nn::Sequential> model;
   std::unique_ptr<nn::Sgd> optimizer;
@@ -151,17 +151,5 @@ class WeightedRingFold {
  private:
   std::vector<double> acc_;
 };
-
-/// Mean parameter version across the ring members.
-double ring_version_mean(const std::vector<DeviceState>& devices,
-                         const std::vector<sim::DeviceId>& ring);
-
-/// Installs the aggregate on every ring member (state, version, delta
-/// reference). The caller stamps ref_epoch / error-feedback per its commit
-/// rule (delta vs raw round).
-void apply_aggregate(std::vector<DeviceState>& devices,
-                     const std::vector<sim::DeviceId>& ring,
-                     const std::vector<float>& aggregate,
-                     double version_mean);
 
 }  // namespace hadfl::core

@@ -1,6 +1,8 @@
-// The HADFL training loop (paper Alg. 1 + §III).
+// The HADFL simulator entry point (paper Alg. 1 + §III) and its config.
 //
-// One run executes:
+// run_hadfl is the fleet engine's exact mode (core/fleet.hpp, cohort 0)
+// with every per-device diagnostic series kept: the engine's round loop is
+// the one simulator implementation. One run executes:
 //  1. Initial model dispatch: every device starts from the same state.
 //  2. Mutual negotiation (§III-B): E_warmup local epochs at a small
 //     learning rate; the measured per-epoch durations T_i / E_warmup seed
@@ -103,6 +105,8 @@ struct HadflResult {
   HadflExtras extras;
 };
 
+/// run_hadfl_fleet in exact mode with uncapped extras, under the scheme
+/// name "hadfl".
 HadflResult run_hadfl(const fl::SchemeContext& ctx,
                       const HadflConfig& config = {});
 

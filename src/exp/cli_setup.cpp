@@ -108,6 +108,16 @@ std::string fleet_flag_error(const ArgParser& args) {
     return "--fleet-cohort supports --policy=gaussian-quartile|top-k; got " +
            policy;
   }
+  // Untrained cohort devices keep no error-feedback residuals or measured
+  // step times; exact mode (cohort 0 or >= devices) runs both.
+  const std::string codec = sync_codec_arg(args);
+  if (sampled && codec != "none") {
+    return "--fleet-cohort=" + std::to_string(cohort) +
+           " supports --sync-codec=none only; got " + codec;
+  }
+  if (sampled && args.has("adaptive")) {
+    return "--adaptive requires the exact fleet mode (--fleet-cohort=0)";
+  }
   return "";
 }
 
@@ -121,10 +131,6 @@ std::string adaptive_flag_error(const ArgParser& args) {
       }
     }
     return "";
-  }
-  if (args.has("fleet")) {
-    return "--adaptive does not apply to --fleet (the fleet engine owns "
-           "its own pacing)";
   }
   if (args.get("scheme", "hadfl") != "hadfl") {
     return "--adaptive only applies to --scheme=hadfl";
@@ -226,42 +232,30 @@ fl::SchemeContext RunSetup::context() const {
                            base.config,  base.comm_state_bytes};
 }
 
-RunSetup make_run_setup(const ArgParser& args) {
-  RunSetup setup;
-  setup.scenario = paper_scenario(
-      parse_model(args.get("model", "mlp")),
-      args.get_double_list("ratio", {3, 3, 1, 1}),
-      args.get_double("scale", 1.0),
-      static_cast<std::uint64_t>(args.get_int("seed", 7)));
-  Scenario& s = setup.scenario;
-  s.train.total_epochs = args.get_int("epochs", 16);
-  s.jitter_std = args.get_double("jitter", 0.0);
-  s.hadfl.strategy.select_count =
+void apply_hadfl_flags(const ArgParser& args, core::HadflConfig& hadfl) {
+  hadfl.strategy.select_count =
       static_cast<std::size_t>(args.get_int("np", 2));
-  s.hadfl.strategy.t_sync = args.get_int("tsync", 1);
-  s.hadfl.broadcast_mix_weight = args.get_double("mix", 0.8);
-  s.hadfl.policy =
+  hadfl.strategy.t_sync = args.get_int("tsync", 1);
+  hadfl.broadcast_mix_weight = args.get_double("mix", 0.8);
+  hadfl.policy =
       core::make_selection_policy(args.get("policy", "gaussian-quartile"));
   const int group_size = args.get_int("group-size", 0);
   if (group_size > 0) {
-    s.hadfl.grouping.group_size = static_cast<std::size_t>(group_size);
-  }
-  if (args.get("network", "pcie") == "wan") {
-    s.network = sim::NetworkModel::wan();
+    hadfl.grouping.group_size = static_cast<std::size_t>(group_size);
   }
   // Codec knobs live on the hadfl config so the sim, rt, and net backends
   // all encode the same chunks from the same settings.
-  s.hadfl.compression = parse_sync_codec(sync_codec_arg(args));
-  s.hadfl.top_k_ratio = args.get_double("topk-ratio", s.hadfl.top_k_ratio);
-  s.hadfl.sync_chunks =
+  hadfl.compression = parse_sync_codec(sync_codec_arg(args));
+  hadfl.top_k_ratio = args.get_double("topk-ratio", hadfl.top_k_ratio);
+  hadfl.sync_chunks =
       static_cast<std::size_t>(args.get_int("sync-chunks", 0));
   // Adaptive-control knobs (src/ctrl). Off by default; with the flag off
   // no controller is built and every backend runs bit-identical to the
   // static path. The --sync-codec/--sync-chunks values above become the
   // controller's round-0 seed when it is on.
-  s.hadfl.adaptive.enabled = args.has("adaptive");
-  if (s.hadfl.adaptive.enabled) {
-    ctrl::AdaptiveConfig& a = s.hadfl.adaptive;
+  hadfl.adaptive.enabled = args.has("adaptive");
+  if (hadfl.adaptive.enabled) {
+    ctrl::AdaptiveConfig& a = hadfl.adaptive;
     a.step_time_alpha = args.get_double("adaptive-alpha", a.step_time_alpha);
     a.warmup_rounds = static_cast<std::size_t>(args.get_int(
         "adaptive-warmup", static_cast<int>(a.warmup_rounds)));
@@ -273,6 +267,22 @@ RunSetup make_run_setup(const ArgParser& args) {
       if (knob == "chunks") a.tune_chunks = true;
       if (knob == "codec") a.tune_codec = true;
     }
+  }
+}
+
+RunSetup make_run_setup(const ArgParser& args) {
+  RunSetup setup;
+  setup.scenario = paper_scenario(
+      parse_model(args.get("model", "mlp")),
+      args.get_double_list("ratio", {3, 3, 1, 1}),
+      args.get_double("scale", 1.0),
+      static_cast<std::uint64_t>(args.get_int("seed", 7)));
+  Scenario& s = setup.scenario;
+  s.train.total_epochs = args.get_int("epochs", 16);
+  s.jitter_std = args.get_double("jitter", 0.0);
+  apply_hadfl_flags(args, s.hadfl);
+  if (args.get("network", "pcie") == "wan") {
+    s.network = sim::NetworkModel::wan();
   }
 
   setup.env = std::make_unique<Environment>(s);

@@ -63,10 +63,16 @@ struct RunSetup {
   fl::SchemeContext context() const;
 };
 
+/// Applies the HADFL flags (--np/--tsync/--mix/--policy/--group-size, the
+/// codec flags --sync-codec/--int8-broadcast/--topk-ratio/--sync-chunks,
+/// and --adaptive with its --adaptive-* knobs) to `hadfl`. The one
+/// translation both the scenario path (make_run_setup) and hadfl_run's
+/// --fleet world use. Throws InvalidArgument on a malformed value.
+void apply_hadfl_flags(const ArgParser& args, core::HadflConfig& hadfl);
+
 /// Builds scenario + environment + partition from the standard flags
-/// (--model/--ratio/--epochs/--scale/--seed/--np/--tsync/--policy/--mix/
-/// --group-size/--partition/--network/--jitter). Throws InvalidArgument on
-/// a malformed value.
+/// (--model/--ratio/--epochs/--scale/--seed/--partition/--network/--jitter
+/// plus apply_hadfl_flags'). Throws InvalidArgument on a malformed value.
 RunSetup make_run_setup(const ArgParser& args);
 
 /// The rt/net runtime knobs (--time-scale/--throttle/--wallclock/--die).
@@ -96,18 +102,19 @@ std::string backend_flag_error(const std::string& scheme,
 /// --fleet, value ranges must hold (devices/rounds/threads non-negative,
 /// churn in [0, 1], momentum in [0, 1)), a non-zero cohort must cover
 /// --np, and sampled-cohort mode supports the gaussian-quartile and top-k
-/// policies only. Returns the empty string when valid, else the one-line
-/// diagnostic hadfl_run prints to stderr before exiting with status 2
-/// (the sync_codec_flag_error pattern).
+/// policies only, with --sync-codec=none and without --adaptive. Returns
+/// the empty string when valid, else the one-line diagnostic hadfl_run
+/// prints to stderr before exiting with status 2 (the
+/// sync_codec_flag_error pattern).
 std::string fleet_flag_error(const ArgParser& args);
 
 /// Validates the --adaptive flag family: every --adaptive-* flag requires
-/// --adaptive, --adaptive excludes --fleet (the fleet engine owns its own
-/// pacing) and non-hadfl schemes, --adaptive-alpha must lie in (0, 1],
-/// --adaptive-warmup must be non-negative, and --adaptive-tune only knows
-/// the knobs budgets/chunks/codec. Returns the empty string when valid,
-/// else the one-line diagnostic hadfl_run prints to stderr before exiting
-/// with status 2 (the fleet_flag_error pattern).
+/// --adaptive, --adaptive excludes non-hadfl schemes (fleet_flag_error
+/// rejects it with a sampled fleet cohort), --adaptive-alpha must lie in
+/// (0, 1], --adaptive-warmup must be non-negative, and --adaptive-tune
+/// only knows the knobs budgets/chunks/codec. Returns the empty string when
+/// valid, else the one-line diagnostic hadfl_run prints to stderr before
+/// exiting with status 2 (the fleet_flag_error pattern).
 std::string adaptive_flag_error(const ArgParser& args);
 
 /// Parses a --drift spec list into speed-drift events for

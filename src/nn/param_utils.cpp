@@ -41,10 +41,6 @@ std::span<float> grad_view(Layer& model) {
   return model.grad_view();
 }
 
-void mix_state(Layer& model, std::span<const float> src, double w) {
-  mix_spans(state_view(model), src, w);
-}
-
 void StateAccumulator::reset(std::size_t n) {
   acc_.assign(n, 0.0);
   weight_sum_ = 0.0;

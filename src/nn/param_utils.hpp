@@ -11,10 +11,10 @@
 //
 // Arena-backed models (nn::Sequential after pack(); everything produced by
 // the model zoo) hold their whole state contiguously, so the primary API is
-// the zero-copy one: state_view()/grad_view() spans, StateAccumulator for
-// streaming aggregation, and mix_state for in-place blending. Reading a
-// state means iterating (or copying from) state_view(); writing one back
-// means load_state(), which is a single bulk copy on packed models. The
+// the zero-copy one: state_view()/grad_view() spans and StateAccumulator
+// for streaming aggregation. Reading a state means iterating (or copying
+// from) state_view(); writing one back means load_state(), which is a
+// single bulk copy on packed models. The
 // historic get_state/set_state copy shims are gone — callers that need an
 // owned snapshot copy out of the view explicitly, which keeps every
 // allocation visible at the call site.
@@ -45,11 +45,6 @@ std::span<float> state_view(Layer& model);
 
 /// The model's contiguous trainable-gradient span. Requires a packed model.
 std::span<float> grad_view(Layer& model);
-
-/// In-place blend of a received state into a packed model:
-/// model = (1 - w) * model + w * src. Equivalent to the historic
-/// get-mix-set state round trip, without the copies.
-void mix_state(Layer& model, std::span<const float> src, double w);
 
 /// Streaming weighted-sum accumulator over flat states. Replaces the
 /// materialize-everything weighted_average for hot aggregation paths:

@@ -822,4 +822,34 @@ RtResult run_hadfl_coordinator(const fl::SchemeContext& ctx,
   return result;
 }
 
+CoordinatorTelemetry register_coordinator_telemetry(
+    obs::MetricsRegistry& registry, obs::SpanRecorder* rec,
+    std::size_t coord_track, FailureDetector& detector) {
+  CoordinatorTelemetry t;
+  t.rec = rec;
+  t.coord_track = coord_track;
+  t.sync_latency = &registry.histogram(
+      "sync.latency_s", obs::exponential_bounds(1e-4, 2.0, 18));
+  t.abort_latency = &registry.histogram(
+      "sync.abort_latency_s", obs::exponential_bounds(1e-4, 2.0, 18));
+  t.selection_prob = &registry.histogram(
+      "selection.probability",
+      {0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.75, 1.0});
+  t.metrics = &registry;
+  detector.attach_silence_histogram(&registry.histogram(
+      "heartbeat.silence_s", obs::exponential_bounds(1e-4, 2.0, 16)));
+  return t;
+}
+
+void export_run_counters(obs::MetricsRegistry& registry,
+                         const RtResult& result) {
+  registry.counter("rt.deaths_detected").add(result.deaths_detected);
+  registry.counter("rt.ring_repairs").add(result.extras.ring_repairs);
+  registry.counter("buffer_pool.hits").add(result.pool_stats.hits);
+  registry.counter("buffer_pool.misses").add(result.pool_stats.misses);
+  registry.counter("buffer_pool.high_water")
+      .add(result.pool_stats.high_water);
+  registry.counter("telemetry.spans_dropped").add(result.spans_dropped);
+}
+
 }  // namespace hadfl::rt

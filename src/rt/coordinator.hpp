@@ -80,6 +80,21 @@ struct CoordinatorTelemetry {
   obs::MetricsRegistry* metrics = nullptr;
 };
 
+/// Registers the coordinator's instruments on `registry` — the
+/// sync.latency_s, sync.abort_latency_s and selection.probability
+/// histograms, plus `detector`'s heartbeat.silence_s — and returns them
+/// wired to `rec` on track `coord_track`. The rt and net runners both call
+/// this, so they export one metric set.
+CoordinatorTelemetry register_coordinator_telemetry(
+    obs::MetricsRegistry& registry, obs::SpanRecorder* rec,
+    std::size_t coord_track, FailureDetector& detector);
+
+/// Adds the post-run counters every runner exports from its result:
+/// rt.deaths_detected, rt.ring_repairs, the buffer_pool hits, misses and
+/// high water, and telemetry.spans_dropped.
+void export_run_counters(obs::MetricsRegistry& registry,
+                         const RtResult& result);
+
 /// Everything the coordinator orchestrates through. All pointers are
 /// non-owning and must outlive the `run_hadfl_coordinator` call.
 struct CoordinatorEnv {

@@ -147,17 +147,8 @@ RtResult run_hadfl_rt(const fl::SchemeContext& ctx, const RtConfig& config) {
         &metrics_registry->counter("sync.allgather_raw_bytes");
     worker_telemetry.broadcast_raw_bytes =
         &metrics_registry->counter("broadcast.raw_bytes");
-    coord_telemetry.rec = span_recorder.get();
-    coord_telemetry.sync_latency = &metrics_registry->histogram(
-        "sync.latency_s", obs::exponential_bounds(1e-4, 2.0, 18));
-    coord_telemetry.abort_latency = &metrics_registry->histogram(
-        "sync.abort_latency_s", obs::exponential_bounds(1e-4, 2.0, 18));
-    coord_telemetry.selection_prob = &metrics_registry->histogram(
-        "selection.probability",
-        {0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.75, 1.0});
-    coord_telemetry.metrics = metrics_registry.get();
-    detector.attach_silence_histogram(&metrics_registry->histogram(
-        "heartbeat.silence_s", obs::exponential_bounds(1e-4, 2.0, 16)));
+    coord_telemetry = register_coordinator_telemetry(
+        *metrics_registry, span_recorder.get(), k, detector);
   }
 
   // ---- Device workers: one dedicated thread per device, each running the
@@ -214,17 +205,7 @@ RtResult run_hadfl_rt(const fl::SchemeContext& ctx, const RtConfig& config) {
     result.timeline = span_recorder->drain();
   }
   if (metrics_registry != nullptr) {
-    metrics_registry->counter("rt.deaths_detected")
-        .add(result.deaths_detected);
-    metrics_registry->counter("rt.ring_repairs")
-        .add(result.extras.ring_repairs);
-    metrics_registry->counter("buffer_pool.hits").add(result.pool_stats.hits);
-    metrics_registry->counter("buffer_pool.misses")
-        .add(result.pool_stats.misses);
-    metrics_registry->counter("buffer_pool.high_water")
-        .add(result.pool_stats.high_water);
-    metrics_registry->counter("telemetry.spans_dropped")
-        .add(result.spans_dropped);
+    export_run_counters(*metrics_registry, result);
     result.metrics = metrics_registry->snapshot();
   }
   return result;

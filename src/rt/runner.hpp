@@ -1,7 +1,8 @@
-// Real-time concurrent HADFL runner: the full pipeline of core/trainer.cpp
-// (warmup negotiation → strategy generation → version prediction →
+// Real-time concurrent HADFL runner: the pipeline the simulator runs
+// (core::run_hadfl, the fleet engine's exact mode in core/fleet.cpp) —
+// warmup negotiation → strategy generation → version prediction →
 // probability selection → ring synchronization → non-blocking broadcast →
-// §III-A hierarchical group sync → §III-D fault tolerance) executed on
+// §III-A hierarchical group sync → §III-D fault tolerance — executed on
 // actual threads.
 //
 // Architecture (Fig. 2a on threads): the calling thread runs the shared

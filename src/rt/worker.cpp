@@ -607,7 +607,7 @@ bool run_device_worker(WorkerEnv& env) {
       case CmdKind::kInterMix: {
         // Group-member side of phase 2: fold the leader's global into the
         // local model chunk-by-chunk. mix_spans per chunk is bit-identical
-        // to the simulator's whole-state nn::mix_state (both are the same
+        // to the simulator's whole-state nn::mix_into (both are the same
         // elementwise convex combination). No version/reference updates —
         // sim parity, as above.
         const double ts0 = rec != nullptr ? rec->now_s() : 0.0;

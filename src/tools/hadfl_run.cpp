@@ -50,22 +50,25 @@
 //                           overrides the warm-up strategy      [2]
 //   --adaptive-tune=<list>  adaptive: comma subset of budgets,chunks,codec
 //                           to tune                             [all three]
-//   --drift=<specs>         sim/rt/net: inject speed drift; comma-separated
+//   --drift=<specs>         sim/rt/net/fleet: inject speed drift;
+//                           comma-separated
 //                           DEV:ROUND:FACTOR[:step|ramp:R|square:P:D]
 //                           (step = permanent slowdown, ramp = thermal
 //                           throttle over R rounds, square = background
 //                           load with period P and duty D). Like --die,
 //                           not forwarded to net nodes
-//   --fleet                 sim: run the fleet-scale engine on a generated
+//   --fleet                 sim: run the simulator's engine on a generated
 //                           fleet world (see docs/SIMULATOR.md). Uses
-//                           --ratio/--jitter/--seed/--epochs plus the
+//                           --ratio/--jitter/--seed/--epochs, the HADFL,
+//                           codec, --adaptive and --drift flags, plus the
 //                           fleet flags below; --model/--scale/--partition
 //                           do not apply (the world is fixed to the scaled
 //                           MLP with a cyclic partition)
 //   --fleet-devices=<int>   fleet: device count K               [1000]
 //   --fleet-cohort=<int>    fleet: devices trained per round per group
-//                           [0 = all, exact mode, bit-identical to the sim
-//                           backend; >= K also degrades to exact]
+//                           [0 = all, exact mode, the sim backend's engine;
+//                           >= K also degrades to exact]. A sampled cohort
+//                           takes neither a sync codec nor --adaptive
 //   --fleet-rounds=<int>    fleet: sync-round cap               [0 = none]
 //   --fleet-churn=<float>   fleet: fraction of devices that churn [0]
 //   --fleet-threads=<int>   fleet: threads for the per-round O(K) scalar
@@ -168,9 +171,10 @@ void report(const fl::SchemeResult& result, const std::string& csv_path) {
 }
 
 /// The --fleet path: builds the generated fleet world (exp/fleet_world.hpp)
-/// and runs the fleet-scale engine on it. Exact mode (cohort 0) is
-/// bit-identical to the sim backend on the same world, so the "state hash"
-/// line is comparable across `--fleet-cohort=0` runs and tests.
+/// and runs the fleet engine on it with the same HADFL flags the scenario
+/// path reads. Exact mode (cohort 0) is the engine the sim backend runs, so
+/// the "state hash" line is comparable across `--fleet-cohort=0` runs and
+/// tests.
 int run_fleet(const ArgParser& args, const std::string& csv,
               const std::string& trace_out) {
   exp::FleetWorldConfig fw;
@@ -184,15 +188,10 @@ int run_fleet(const ArgParser& args, const std::string& csv,
   exp::FleetWorld world(fw);
 
   exp::Scenario& s = world.scenario();
-  s.hadfl.strategy.select_count =
-      static_cast<std::size_t>(args.get_int("np", 2));
-  s.hadfl.strategy.t_sync = args.get_int("tsync", 1);
-  s.hadfl.broadcast_mix_weight = args.get_double("mix", 0.8);
-  s.hadfl.policy =
-      core::make_selection_policy(args.get("policy", "gaussian-quartile"));
-  const int group_size = args.get_int("group-size", 0);
-  if (group_size > 0) {
-    s.hadfl.grouping.group_size = static_cast<std::size_t>(group_size);
+  exp::apply_hadfl_flags(args, s.hadfl);
+  for (const sim::DriftEvent& event :
+       exp::parse_drift(args.get("drift", ""), fw.devices)) {
+    world.cluster().faults().schedule_drift(event);
   }
 
   core::FleetConfig fleet;
@@ -332,10 +331,6 @@ int main(int argc, char** argv) {
       return 2;
     }
     if (args.has("fleet")) {
-      if (args.has("drift")) {
-        std::cerr << "--drift does not apply to --fleet\n";
-        return 2;
-      }
       if (scheme != "hadfl" || backend != "sim") {
         std::cerr << "--fleet requires --scheme=hadfl --backend=sim\n";
         return 2;

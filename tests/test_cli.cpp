@@ -198,6 +198,51 @@ TEST(FleetFlags, SampledCohortMustCoverSelectCount) {
             "");
 }
 
+TEST(FleetFlags, SampledCohortRejectsCodecAndAdaptive) {
+  const std::string codec = exp::fleet_flag_error(
+      parse({"--fleet", "--fleet-cohort=16", "--sync-codec=topk"}));
+  EXPECT_NE(codec.find("topk"), std::string::npos);
+  EXPECT_NE(exp::fleet_flag_error(
+                parse({"--fleet", "--fleet-cohort=16", "--int8-broadcast"})),
+            "");
+  const std::string adaptive = exp::fleet_flag_error(
+      parse({"--fleet", "--fleet-cohort=16", "--adaptive"}));
+  EXPECT_NE(adaptive.find("--adaptive"), std::string::npos);
+  // Exact mode (cohort 0 or >= K) runs both.
+  EXPECT_EQ(exp::fleet_flag_error(parse(
+                {"--fleet", "--sync-codec=int8", "--sync-chunks=4",
+                 "--adaptive"})),
+            "");
+  EXPECT_EQ(exp::fleet_flag_error(parse(
+                {"--fleet", "--fleet-devices=8", "--fleet-cohort=8",
+                 "--sync-codec=topk", "--adaptive"})),
+            "");
+  EXPECT_EQ(exp::fleet_flag_error(parse(
+                {"--fleet", "--fleet-cohort=16", "--sync-codec=none"})),
+            "");
+}
+
+TEST(FleetFlags, ApplyHadflFlagsTranslatesEveryHadflFlag) {
+  // One translation for the scenario path and the --fleet world.
+  core::HadflConfig hadfl;
+  exp::apply_hadfl_flags(
+      parse({"--np=3", "--tsync=2", "--mix=0.6", "--group-size=4",
+             "--policy=top-k", "--sync-codec=topk", "--topk-ratio=0.1",
+             "--sync-chunks=3", "--adaptive", "--adaptive-tune=codec"}),
+      hadfl);
+  EXPECT_EQ(hadfl.strategy.select_count, 3u);
+  EXPECT_EQ(hadfl.strategy.t_sync, 2);
+  EXPECT_DOUBLE_EQ(hadfl.broadcast_mix_weight, 0.6);
+  EXPECT_EQ(hadfl.grouping.group_size, 4u);
+  EXPECT_EQ(hadfl.policy->name(), "top-k");
+  EXPECT_EQ(hadfl.compression, core::SyncCompression::kTopK);
+  EXPECT_DOUBLE_EQ(hadfl.top_k_ratio, 0.1);
+  EXPECT_EQ(hadfl.sync_chunks, 3u);
+  EXPECT_TRUE(hadfl.adaptive.enabled);
+  EXPECT_TRUE(hadfl.adaptive.tune_codec);
+  EXPECT_FALSE(hadfl.adaptive.tune_budgets);
+}
+
 TEST(FleetFlags, SampledCohortRestrictsPolicies) {
   const std::string err = exp::fleet_flag_error(
       parse({"--fleet", "--fleet-cohort=16", "--policy=uniform"}));
@@ -231,8 +276,10 @@ TEST(AdaptiveFlags, SubflagsRequireAdaptive) {
   EXPECT_NE(exp::adaptive_flag_error(parse({"--adaptive-tune=codec"})), "");
 }
 
-TEST(AdaptiveFlags, RejectsFleetAndNonHadflSchemes) {
-  EXPECT_NE(exp::adaptive_flag_error(parse({"--adaptive", "--fleet"})), "");
+TEST(AdaptiveFlags, RejectsNonHadflSchemes) {
+  // Exact fleet mode runs the controller; fleet_flag_error rejects it with
+  // a sampled cohort (FleetFlags.SampledCohortRejectsCodecAndAdaptive).
+  EXPECT_EQ(exp::adaptive_flag_error(parse({"--adaptive", "--fleet"})), "");
   EXPECT_NE(exp::adaptive_flag_error(
                 parse({"--adaptive", "--scheme=dfedavg"})),
             "");

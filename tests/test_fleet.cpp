@@ -1,5 +1,6 @@
 // Fleet-scale stack: the copy-on-write slab store's sharing semantics and
-// the fleet engine's bit-identity contract against core::run_hadfl.
+// the fleet engine's modes. Exact mode is core::run_hadfl, so its
+// independent checks are the sim == rt tests (tests/test_rt.cpp).
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -9,7 +10,6 @@
 
 #include "common/error.hpp"
 #include "core/fleet.hpp"
-#include "core/trainer.hpp"
 #include "exp/fleet_world.hpp"
 #include "nn/cow_store.hpp"
 #include "obs/recorder.hpp"
@@ -139,7 +139,7 @@ TEST(CowStateStore, Validation) {
   EXPECT_THROW(store.release(live, 1), Error);
 }
 
-// ---- fleet engine vs run_hadfl -------------------------------------------
+// ---- fleet engine -------------------------------------------------------
 
 exp::FleetWorldConfig small_world(std::size_t devices) {
   exp::FleetWorldConfig fw;
@@ -147,72 +147,6 @@ exp::FleetWorldConfig small_world(std::size_t devices) {
   fw.epochs = 3;
   fw.seed = 11;
   return fw;
-}
-
-/// Runs both engines on freshly built copies of the same world and expects
-/// identical final bits, virtual time, wire volume, and round count.
-void expect_bit_identical(const exp::FleetWorldConfig& fw) {
-  exp::FleetWorld ref_world(fw);
-  const core::HadflResult want =
-      core::run_hadfl(ref_world.context(), ref_world.scenario().hadfl);
-
-  exp::FleetWorld fleet_world(fw);
-  const core::FleetResult got = core::run_hadfl_fleet(
-      fleet_world.context(), fleet_world.scenario().hadfl,
-      core::FleetConfig{});
-
-  ASSERT_EQ(want.scheme.final_state.size(), got.scheme.final_state.size());
-  EXPECT_EQ(0, std::memcmp(want.scheme.final_state.data(),
-                           got.scheme.final_state.data(),
-                           want.scheme.final_state.size() * sizeof(float)));
-  EXPECT_EQ(want.scheme.total_time, got.scheme.total_time);
-  EXPECT_EQ(want.scheme.sync_rounds, got.scheme.sync_rounds);
-  EXPECT_EQ(want.scheme.volume.total_sent(), got.scheme.volume.total_sent());
-  EXPECT_EQ(want.scheme.volume.total_received(),
-            got.scheme.volume.total_received());
-  EXPECT_EQ(want.extras.ring_repairs, got.stats.ring_repairs);
-}
-
-TEST(FleetEngine, ExactModeBitIdenticalAtK8) {
-  expect_bit_identical(small_world(8));
-}
-
-TEST(FleetEngine, ExactModeBitIdenticalWithJitter) {
-  exp::FleetWorldConfig fw = small_world(8);
-  fw.jitter_std = 0.05;
-  expect_bit_identical(fw);
-}
-
-TEST(FleetEngine, ExactModeBitIdenticalWithChurn) {
-  exp::FleetWorldConfig fw = small_world(8);
-  fw.churn.fraction = 0.5;  // 4 devices churn, one of them mid-run
-  fw.churn.start = 1.0;
-  fw.churn.spread = 10.0;
-  fw.churn.outage = 4.0;
-  expect_bit_identical(fw);
-}
-
-TEST(FleetEngine, ExactModeBitIdenticalGrouped) {
-  exp::FleetWorldConfig fw = small_world(8);
-
-  exp::FleetWorld ref_world(fw);
-  ref_world.scenario().hadfl.grouping.group_size = 4;
-  ref_world.scenario().hadfl.grouping.inter_group_period = 2;
-  const core::HadflResult want =
-      core::run_hadfl(ref_world.context(), ref_world.scenario().hadfl);
-
-  exp::FleetWorld fleet_world(fw);
-  fleet_world.scenario().hadfl.grouping.group_size = 4;
-  fleet_world.scenario().hadfl.grouping.inter_group_period = 2;
-  const core::FleetResult got = core::run_hadfl_fleet(
-      fleet_world.context(), fleet_world.scenario().hadfl,
-      core::FleetConfig{});
-
-  ASSERT_EQ(want.scheme.final_state.size(), got.scheme.final_state.size());
-  EXPECT_EQ(0, std::memcmp(want.scheme.final_state.data(),
-                           got.scheme.final_state.data(),
-                           want.scheme.final_state.size() * sizeof(float)));
-  EXPECT_EQ(want.scheme.total_time, got.scheme.total_time);
 }
 
 TEST(FleetEngine, CohortModeTrainsOnlyTheCohort) {
@@ -280,42 +214,82 @@ TEST(FleetEngine, RejectsUnsupportedConfigs) {
                                        world.scenario().hadfl, fleet),
                  Error);
   }
+  // Sampled-cohort mode keeps no per-device residuals or step-time
+  // history for untrained devices, so it rejects a codec and adaptive mode.
   {
     exp::FleetWorld world(fw);
-    world.scenario().hadfl.compression =
-        core::SyncCompression::kTopK;  // needs per-device residuals
+    world.scenario().hadfl.compression = core::SyncCompression::kTopK;
+    core::FleetConfig fleet;
+    fleet.cohort = 4;
     EXPECT_THROW(core::run_hadfl_fleet(world.context(),
-                                       world.scenario().hadfl,
-                                       core::FleetConfig{}),
-                 Error);
+                                       world.scenario().hadfl, fleet),
+                 InvalidArgument);
   }
-  // Settings the engine would otherwise ignore silently.
   {
     exp::FleetWorld world(fw);
     world.scenario().hadfl.adaptive.enabled = true;
+    core::FleetConfig fleet;
+    fleet.cohort = 4;
     EXPECT_THROW(core::run_hadfl_fleet(world.context(),
-                                       world.scenario().hadfl,
-                                       core::FleetConfig{}),
+                                       world.scenario().hadfl, fleet),
                  InvalidArgument);
   }
-  {
-    exp::FleetWorld world(fw);
-    obs::Timeline trace;
-    world.scenario().hadfl.trace = &trace;
-    EXPECT_THROW(core::run_hadfl_fleet(world.context(),
-                                       world.scenario().hadfl,
-                                       core::FleetConfig{}),
-                 InvalidArgument);
+}
+
+TEST(FleetEngine, CohortModeRunsTraceAndDrift) {
+  // Both are analytic in cohort mode: every device's burst is priced by
+  // the clock walk whether or not it trains.
+  exp::FleetWorldConfig fw;
+  fw.devices = 64;
+  fw.epochs = 64;
+  exp::FleetWorld world(fw);
+  obs::Timeline trace;
+  world.scenario().hadfl.trace = &trace;
+  world.cluster().faults().schedule_drift(
+      sim::DriftEvent{.device = 0, .from_round = 1, .factor = 4.0});
+  core::FleetConfig fleet;
+  fleet.cohort = 8;
+  fleet.max_rounds = 3;
+  const core::FleetResult r = core::run_hadfl_fleet(
+      world.context(), world.scenario().hadfl, fleet);
+  EXPECT_EQ(r.stats.rounds, 3u);
+  std::size_t negotiation = 0;
+  std::size_t sync = 0;
+  for (const obs::Span& span : trace.spans()) {
+    EXPECT_LE(span.start, span.end);
+    if (span.label == "negotiation") ++negotiation;
+    if (span.kind == obs::SpanKind::kSync) ++sync;
   }
-  {
-    exp::FleetWorld world(fw);
-    world.cluster().faults().schedule_drift(
-        sim::DriftEvent{.device = 0, .from_round = 1, .factor = 4.0});
-    EXPECT_THROW(core::run_hadfl_fleet(world.context(),
-                                       world.scenario().hadfl,
-                                       core::FleetConfig{}),
-                 InvalidArgument);
+  EXPECT_EQ(negotiation, 64u);  // every device, trained or not
+  EXPECT_GT(sync, 0u);
+  // In round 1 the drifted device fits fewer steps than its power-3 twin.
+  EXPECT_LT(r.extras.actual_versions.front()[0],
+            r.extras.actual_versions.front()[1]);
+}
+
+TEST(FleetEngine, ExactModeRunsCodecAdaptiveTraceAndDrift) {
+  exp::FleetWorldConfig fw = small_world(8);
+  fw.epochs = 6;
+  exp::FleetWorld world(fw);
+  core::HadflConfig& config = world.scenario().hadfl;
+  config.compression = core::SyncCompression::kInt8;
+  config.adaptive.enabled = true;
+  obs::Timeline trace;
+  config.trace = &trace;
+  world.cluster().faults().schedule_drift(
+      sim::DriftEvent{.device = 0, .from_round = 1, .factor = 4.0});
+  const core::FleetResult r =
+      core::run_hadfl_fleet(world.context(), config, core::FleetConfig{});
+  EXPECT_GT(r.stats.rounds, 2u);
+  EXPECT_FALSE(r.scheme.final_state.empty());
+  std::size_t compute = 0;
+  std::size_t sync = 0;
+  for (const obs::Span& span : trace.spans()) {
+    if (span.kind == obs::SpanKind::kCompute) ++compute;
+    if (span.kind == obs::SpanKind::kSync) ++sync;
   }
+  EXPECT_GE(compute, 8u * r.stats.rounds);  // negotiation + every round
+  EXPECT_GE(sync, 2u * r.stats.rounds);
 }
 
 TEST(CowStateStore, CreateZeroedIsAnOrdinarySlab) {
@@ -328,12 +302,6 @@ TEST(CowStateStore, CreateZeroedIsAnOrdinarySlab) {
   EXPECT_NE(mine, zero);
   store.mutable_view(mine)[0] = 5.0f;
   EXPECT_EQ(store.view(zero)[0], 0.0f);
-}
-
-TEST(FleetEngine, MomentumExactModeBitIdenticalAtK8) {
-  exp::FleetWorldConfig fw = small_world(8);
-  fw.momentum = 0.9;  // velocity round-trips through the slab store
-  expect_bit_identical(fw);
 }
 
 TEST(FleetEngine, CohortCoveringFleetDegradesToExact) {

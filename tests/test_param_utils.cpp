@@ -245,7 +245,7 @@ TEST(ParamUtils, MixIntoSpanOverloadBlends) {
   std::span<float> view = state_view(seq);
   std::fill(view.begin(), view.end(), 0.0f);
   const std::vector<float> src(view.size(), 8.0f);
-  mix_state(seq, src, 0.25);
+  mix_into(view, src, 0.25);
   for (float v : view) EXPECT_NEAR(v, 2.0f, 1e-6);
 }
 

@@ -854,14 +854,18 @@ TEST(RtRunner, ChunkCountDoesNotChangeTheAggregate) {
 /// codec and asserts bit-identical final states — the compressed analogue
 /// of MatchesSimulatorBitExactlyWhenSeeded. The encode/decode round trips
 /// are deterministic float math shared through comm/delta_codec.hpp, so
-/// lossy codecs still converge to the same bits across backends.
+/// lossy codecs still converge to the same bits across backends. A
+/// non-zero `group_size` runs hierarchical groups (§III-A): per-group rings
+/// plus the periodic inter-group leader exchange.
 void expect_codec_matches_simulator(core::SyncCompression codec,
-                                    std::size_t chunks) {
+                                    std::size_t chunks,
+                                    std::size_t group_size = 0) {
   exp::Scenario s = rt_scenario();
   s.train.total_epochs = 6;
   s.hadfl.compression = codec;
   s.hadfl.top_k_ratio = 0.05;
   s.hadfl.sync_chunks = chunks;
+  s.hadfl.grouping.group_size = group_size;
   exp::Environment env(s);
   fl::SchemeContext sim_ctx = env.context();
   const core::HadflResult sim = core::run_hadfl(sim_ctx, s.hadfl);
@@ -881,6 +885,16 @@ TEST(RtRunner, Int8CodecMatchesSimulatorBitExactly) {
 
 TEST(RtRunner, TopKCodecMatchesSimulatorBitExactly) {
   expect_codec_matches_simulator(core::SyncCompression::kTopK, 3);
+}
+
+TEST(RtRunner, GroupedMatchesSimulatorBitExactly) {
+  expect_codec_matches_simulator(core::SyncCompression::kNone, 0,
+                                 /*group_size=*/2);
+}
+
+TEST(RtRunner, GroupedInt8CodecMatchesSimulatorBitExactly) {
+  expect_codec_matches_simulator(core::SyncCompression::kInt8, 4,
+                                 /*group_size=*/2);
 }
 
 TEST(RtRunner, CompressedSyncShrinksWireVolumeAndStillLearns) {
