@@ -1,64 +1,40 @@
 #include "comm/failure_detector.hpp"
 
-#include "common/error.hpp"
-#include "common/logging.hpp"
-
 namespace hadfl::comm {
+
+namespace {
+
+/// §III-D on virtual time: liveness comes from the fault injector, and each
+/// step of the protocol advances the acting device's clock.
+struct SimRepairProbe {
+  SimTransport& transport;
+  const RingRepairConfig& config;
+
+  bool suspect(DeviceId member, DeviceId observer) const {
+    const sim::Cluster& cluster = transport.cluster();
+    return !cluster.faults().alive(member, cluster.time(observer));
+  }
+
+  bool handshake(DeviceId downstream, DeviceId member) {
+    transport.cluster().advance(downstream, config.wait_before_handshake);
+    return transport.handshake(downstream, member, config.handshake_timeout);
+  }
+
+  void warn(DeviceId /*dead*/, DeviceId upstream, DeviceId downstream) {
+    if (upstream == downstream) return;
+    sim::Cluster& cluster = transport.cluster();
+    cluster.advance(downstream, transport.network().latency);
+    cluster.advance_to(upstream, cluster.time(downstream));
+  }
+};
+
+}  // namespace
 
 RingRepairResult repair_ring(SimTransport& transport,
                              const std::vector<DeviceId>& ring,
                              const RingRepairConfig& config) {
-  HADFL_CHECK_ARG(!ring.empty(), "repair_ring on empty ring");
-  sim::Cluster& cluster = transport.cluster();
-
-  RingRepairResult result;
-  result.ring = ring;
-
-  // Iterate until stable: bypassing one device changes the downstream
-  // relationships, and multiple members may have died.
-  bool changed = true;
-  while (changed && result.ring.size() > 1) {
-    changed = false;
-    for (std::size_t i = 0; i < result.ring.size(); ++i) {
-      const DeviceId candidate = result.ring[i];
-      // The downstream neighbour is the one who notices the silence: data
-      // flows candidate -> downstream in the directed ring.
-      const DeviceId downstream = result.ring[(i + 1) % result.ring.size()];
-      if (downstream == candidate) break;
-      if (cluster.faults().alive(candidate, cluster.time(downstream))) {
-        continue;
-      }
-      // Downstream waits the pre-specified time, then handshakes.
-      cluster.advance(downstream, config.wait_before_handshake);
-      const bool alive = transport.handshake(downstream, candidate,
-                                             config.handshake_timeout);
-      if (alive) continue;  // transient: came back within the window
-      // Warn the dead device's upstream, which bypasses it.
-      const DeviceId upstream =
-          result.ring[(i + result.ring.size() - 1) % result.ring.size()];
-      if (upstream != downstream) {
-        cluster.advance(downstream, transport.network().latency);
-        cluster.advance_to(upstream, cluster.time(downstream));
-      }
-      HADFL_INFO("ring repair: dev" << candidate << " bypassed (upstream dev"
-                                    << upstream << " -> dev" << downstream
-                                    << ")");
-      result.removed.push_back(candidate);
-      result.ring.erase(result.ring.begin() +
-                        static_cast<std::ptrdiff_t>(i));
-      ++result.repairs;
-      changed = true;
-      break;
-    }
-  }
-
-  // Single survivor that is itself dead: report an empty ring.
-  if (result.ring.size() == 1 &&
-      !cluster.faults().alive(result.ring[0], cluster.time(result.ring[0]))) {
-    result.removed.push_back(result.ring[0]);
-    result.ring.clear();
-  }
-  return result;
+  SimRepairProbe probe{transport, config};
+  return run_ring_repair(ring, probe);
 }
 
 }  // namespace hadfl::comm

@@ -252,7 +252,6 @@ class FleetEngine {
   // ---- adaptive controller (src/ctrl) and delta codec; their per-device
   // state is sized only when the feature is on ----
   std::unique_ptr<ctrl::AdaptiveController> controller_;  ///< null if off
-  std::vector<float> prev_eval_;  ///< controller's round-over-round signal
   /// This round's codec knobs: the controller's plan in adaptive mode, the
   /// static configuration otherwise (whose budgets stay in strategy_).
   ctrl::RoundPlan static_plan_;
@@ -1214,22 +1213,7 @@ FleetResult FleetEngine::run() {
     }
     record_point(eval_state);
     if (controller_) {
-      // Convergence signal: relative round-over-round aggregate movement.
-      // Every backend derives it from successive evaluation states, so the
-      // codec policy sees the same quantity everywhere.
-      if (prev_eval_.size() == eval_state.size()) {
-        double num = 0.0;
-        double den = 0.0;
-        for (std::size_t i = 0; i < eval_state.size(); ++i) {
-          const double diff = static_cast<double>(eval_state[i]) -
-                              static_cast<double>(prev_eval_[i]);
-          num += diff * diff;
-          den += static_cast<double>(prev_eval_[i]) *
-                 static_cast<double>(prev_eval_[i]);
-        }
-        if (den > 0.0) controller_->observe_delta_norm(std::sqrt(num / den));
-      }
-      prev_eval_ = eval_state;
+      controller_->observe_eval_state(eval_state);
       controller_->end_round();
     }
     model_manager.update(eval_state, round);

@@ -123,6 +123,22 @@ void AdaptiveController::observe_delta_norm(double relative_norm) {
                    : (1.0 - a) * norm_ewma_ + a * relative_norm;
 }
 
+void AdaptiveController::observe_eval_state(const std::vector<float>& state) {
+  if (prev_eval_.size() == state.size()) {
+    double num = 0.0;
+    double den = 0.0;
+    for (std::size_t i = 0; i < state.size(); ++i) {
+      const double diff =
+          static_cast<double>(state[i]) - static_cast<double>(prev_eval_[i]);
+      num += diff * diff;
+      den += static_cast<double>(prev_eval_[i]) *
+             static_cast<double>(prev_eval_[i]);
+    }
+    if (den > 0.0) observe_delta_norm(std::sqrt(num / den));
+  }
+  prev_eval_ = state;
+}
+
 void AdaptiveController::observe_slow_link(bool any_slow) {
   slow_link_ = slow_link_ || any_slow;
 }

@@ -130,6 +130,10 @@ class AdaptiveController {
   void observe_sync(double latency_s, std::size_t wire_bytes);
   /// Relative round-over-round aggregate delta norm (‖x_t−x_{t−1}‖/‖x_{t−1}‖).
   void observe_delta_norm(double relative_norm);
+  /// This round's evaluation state. From the second call on, feeds the
+  /// relative movement since the previous call's state to
+  /// observe_delta_norm — the convergence signal every backend uses.
+  void observe_eval_state(const std::vector<float>& state);
   /// Whether the round's selected ring crossed a slow uplink.
   void observe_slow_link(bool any_slow);
 
@@ -158,6 +162,7 @@ class AdaptiveController {
 
   std::size_t rounds_ = 0;
   double norm_ewma_ = -1.0;  ///< <0 until the first delta-norm observation
+  std::vector<float> prev_eval_;  ///< last observe_eval_state argument
   bool slow_link_ = false;
   double round_sync_latency_ = -1.0;
   std::size_t wire_bytes_ = 0;

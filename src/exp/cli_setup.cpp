@@ -301,8 +301,6 @@ rt::RtConfig make_rt_config(const ArgParser& args, const Scenario& scenario) {
                                         : rt::TimingMode::kVirtual;
   config.time_scale = args.get_double("time-scale", 0.0);
   config.compute_throttle = args.get_double("throttle", 0.0);
-  // --sync-chunks lands on hadfl.sync_chunks (make_run_setup); RtConfig's
-  // own sync_chunks stays 0 so the coordinator takes the shared grid.
   const std::string die = args.get("die", "");
   if (!die.empty()) {
     rt::FaultPlan plan;

@@ -281,17 +281,6 @@ rt::RtResult run_hadfl_net(const fl::SchemeContext& ctx,
                            const NetRunConfig& config) {
   HADFL_CHECK_ARG(ctx.partition.size() == ctx.cluster.size(),
                   "partition count != device count");
-  HADFL_CHECK_ARG(
-      config.rt.hadfl.compression == core::SyncCompression::kNone ||
-          config.rt.sync_chunks == 0 ||
-          config.rt.sync_chunks == config.rt.hadfl.sync_chunks,
-      "compressed runs must take their chunk grid from hadfl.sync_chunks "
-      "(leave RtConfig::sync_chunks at 0) so all backends encode identical "
-      "chunks");
-  HADFL_CHECK_ARG(
-      !config.rt.hadfl.adaptive.enabled || config.rt.sync_chunks == 0,
-      "adaptive runs own the chunk grid (leave RtConfig::sync_chunks at 0; "
-      "seed via hadfl.sync_chunks)");
   HADFL_CHECK_ARG(!config.node_binary.empty(),
                   "net backend needs a node binary path");
   const std::size_t k = ctx.cluster.size();
@@ -402,8 +391,13 @@ rt::RtResult run_hadfl_net(const fl::SchemeContext& ctx,
   result.pool_stats = pool;
 
   const std::size_t abnormal = fleet.shutdown();
-  if (abnormal != 0) {
-    HADFL_WARN("net: " << abnormal << " node process(es) exited abnormally");
+  for (std::size_t d = 0; d < k; ++d) {
+    const int status = fleet.exit_status(d);
+    if (status == 0) continue;
+    // ProcessFleet reports a signal death as 128 + signo, like a shell.
+    std::string how = "status " + std::to_string(status);
+    if (status > 128) how += " (signal " + std::to_string(status - 128) + ")";
+    HADFL_WARN("net: node " << d << " exited with " << how);
   }
 
   if (span_recorder != nullptr) {

@@ -167,10 +167,12 @@ int dial_uds(const std::string& path, double timeout_s,
 void write_all(int fd, const void* data, std::size_t n) {
   const auto* p = static_cast<const std::uint8_t*>(data);
   while (n > 0) {
-    const ssize_t written = ::write(fd, p, n);
+    // MSG_NOSIGNAL: a peer that reset the connection fails the send with
+    // EPIPE instead of raising SIGPIPE, which would kill this process.
+    const ssize_t written = ::send(fd, p, n, MSG_NOSIGNAL);
     if (written < 0) {
       if (errno == EINTR) continue;
-      throw_errno("write");
+      throw_errno("send");
     }
     p += written;
     n -= static_cast<std::size_t>(written);

@@ -39,7 +39,8 @@ int dial_tcp(std::uint16_t port, double timeout_s,
 int dial_uds(const std::string& path, double timeout_s,
              std::uint64_t* retries = nullptr);
 
-/// Writes all of `data` to a blocking fd; throws CommError on failure.
+/// Writes all of `data` to a blocking socket; throws CommError on failure.
+/// A reset peer fails the write (EPIPE) and never raises SIGPIPE.
 void write_all(int fd, const void* data, std::size_t n);
 
 /// Creates a unique temporary directory for Unix-domain sockets

@@ -288,9 +288,11 @@ void SocketTransport::io_loop() {
         Conn& conn = *conns_[ci];
         while (!conn.closed && !conn.tx.empty()) {
           const std::vector<std::uint8_t>& front = conn.tx.front();
+          // MSG_NOSIGNAL: a peer that reset the connection fails the send
+          // (EPIPE, dropped below) instead of killing this process.
           const ssize_t written =
-              ::write(conn.fd, front.data() + conn.tx_offset,
-                      front.size() - conn.tx_offset);
+              ::send(conn.fd, front.data() + conn.tx_offset,
+                     front.size() - conn.tx_offset, MSG_NOSIGNAL);
           if (written < 0) {
             if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) {
               break;

@@ -14,7 +14,7 @@
 #include "obs/recorder.hpp"
 #include "obs/span.hpp"
 #include "rt/buffer_pool.hpp"
-#include "rt/failure_detector.hpp"
+#include "rt/transport.hpp"
 
 namespace hadfl::rt {
 
@@ -28,29 +28,21 @@ enum class TimingMode { kVirtual, kWallclock };
 /// failure. By default the worker closes its transport endpoint on the way
 /// out (a crashing process's sockets); `silent` leaves the endpoint open so
 /// only the missing heartbeats reveal the death and the coordinator must
-/// fence the device.
+/// fence the device. Speed drift is not a FaultPlan: every backend reads it
+/// from the cluster's `sim::FaultInjector` (`schedule_drift`).
 struct FaultPlan {
   DeviceId device = 0;
   std::size_t round = 0;
   std::size_t after_steps = 0;
   bool silent = false;
   bool during_sync = false;
-  /// Speed drift instead of a death: with slow_factor != 1.0 the plan does
-  /// not kill the device — from `round` on, its virtual step time is
-  /// multiplied by slow_factor (`after_steps`/`silent`/`during_sync` are
-  /// ignored). drift_ramp_rounds > 0 ramps the factor in over that many
-  /// rounds (thermal throttle); drift_period > 0 instead applies the factor
-  /// for drift_duty rounds out of every drift_period (background load).
-  /// The coordinator converts these into sim::DriftEvents on its cluster,
-  /// so kVirtual budget truncation sees the drift exactly like the sim.
-  double slow_factor = 1.0;
-  std::size_t drift_ramp_rounds = 0;
-  std::size_t drift_period = 0;
-  std::size_t drift_duty = 1;
 };
 
 struct RtConfig {
-  core::HadflConfig hadfl;           ///< algorithm knobs shared with the sim
+  /// Algorithm knobs shared with the sim, including the sync chunk grid
+  /// (`sync_chunks`) and the §III-D repair timing (`repair`, read here in
+  /// wall seconds).
+  core::HadflConfig hadfl;
   TimingMode timing = TimingMode::kVirtual;
   /// Wall seconds per virtual network second (transport throttling);
   /// 0 = messages move at memory speed. Inproc backend only — sockets
@@ -62,15 +54,6 @@ struct RtConfig {
   double heartbeat_timeout_s = 1.0;  ///< silence before a device is suspect
   double collective_timeout_s = 5.0; ///< per ring step / rendezvous wait
   double command_poll_s = 0.02;      ///< worker poll slice (= beat period)
-  /// Chunk count for the pipelined ring aggregation and the chunked
-  /// broadcast; 0 falls back to hadfl.sync_chunks (and from there to
-  /// comm::kDefaultSyncChunks, clamped to the state size). Compressed
-  /// (hadfl.compression != kNone) runs must leave this 0 so the rt and sim
-  /// backends encode on the same chunk grid — set hadfl.sync_chunks
-  /// instead; with the uncompressed codec the aggregate is chunk-count-
-  /// invariant and this knob only shapes pipelining.
-  std::size_t sync_chunks = 0;
-  RtRingRepairConfig repair;         ///< wall-clock §III-D repair timing
   std::vector<FaultPlan> faults;
   /// Telemetry (src/obs/): record per-device wall-clock spans
   /// (compute/sync/broadcast/stall/repair) and runtime metrics (latency

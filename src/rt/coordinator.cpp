@@ -71,13 +71,9 @@ RtResult run_hadfl_coordinator(const fl::SchemeContext& ctx,
 
   const std::vector<std::size_t>& ipe = setup.iters_per_epoch;
   const std::size_t wire_bytes = setup.wire_bytes;
-  // Effective chunk grid for collectives and broadcasts: the rt override
-  // when set, else the algorithm-level knob shared with the sim — which is
-  // the one compressed runs must use, so both backends encode identical
-  // chunks (rt/runner.cpp validates the combination).
-  const std::size_t eff_chunks = config.sync_chunks != 0
-                                     ? config.sync_chunks
-                                     : config.hadfl.sync_chunks;
+  // Chunk grid for collectives and broadcasts, shared with the sim so every
+  // backend encodes identical chunks.
+  const std::size_t sync_chunks = config.hadfl.sync_chunks;
 
   // Shadow of each worker's reference epoch (updated from *every* drained
   // report — they all carry it). A sync round ships codec-encoded deltas
@@ -135,8 +131,14 @@ RtResult run_hadfl_coordinator(const fl::SchemeContext& ctx,
                                  [&](DeviceId d) { return !live[d]; }),
                   pending.end());
     const Clock::time_point start = Clock::now();
+    // Devices judged dead before the latest poll. A device's last report
+    // reaches the mailbox before its endpoint is seen to close, so one
+    // judged dead is fenced only after an empty poll has drained whatever
+    // it sent first (a node that reports kStopped and exits is not dead).
+    std::vector<DeviceId> doomed;
     while (!pending.empty()) {
-      std::optional<Report> r = io.poll_report(config.command_poll_s);
+      std::optional<Report> r =
+          io.poll_report(doomed.empty() ? config.command_poll_s : 0.0);
       if (r) {
         if (r->device < k) sh_ref_epoch[r->device] = r->ref_epoch;
         const auto it =
@@ -148,18 +150,20 @@ RtResult run_hadfl_coordinator(const fl::SchemeContext& ctx,
         }
         continue;  // stale/unexpected reports are dropped
       }
+      for (DeviceId d : doomed) {
+        const auto it = std::find(pending.begin(), pending.end(), d);
+        if (it == pending.end()) continue;  // its report arrived after all
+        if (on_trouble) on_trouble();
+        fence(d);
+        pending.erase(it);
+      }
+      doomed.clear();
       const bool expired =
           deadline_s > 0.0 && elapsed_s(start) >= deadline_s;
-      for (auto it = pending.begin(); it != pending.end();) {
-        const DeviceId d = *it;
-        const bool dead = !transport.alive(d) ||
-                          (use_detector && !detector.is_alive(d)) || expired;
-        if (dead) {
-          if (on_trouble) on_trouble();
-          fence(d);
-          it = pending.erase(it);
-        } else {
-          ++it;
+      for (DeviceId d : pending) {
+        if (!transport.alive(d) || (use_detector && !detector.is_alive(d)) ||
+            expired) {
+          doomed.push_back(d);
         }
       }
     }
@@ -241,26 +245,6 @@ RtResult run_hadfl_coordinator(const fl::SchemeContext& ctx,
   HADFL_INFO("hadfl-rt strategy: H_E=" << strategy.hyperperiod << "s window="
                                        << strategy.round_window << "s");
 
-  // ---- Speed-drift injection: drift-flavored FaultPlans (slow_factor !=
-  // 1.0) become round-indexed events on the cluster's injector, so the
-  // kVirtual truncation below prices them exactly like the simulator would.
-  for (const FaultPlan& plan : config.faults) {
-    if (plan.slow_factor == 1.0) continue;
-    sim::DriftEvent e;
-    e.device = plan.device;
-    e.from_round = plan.round;
-    e.factor = plan.slow_factor;
-    if (plan.drift_period > 0) {
-      e.kind = sim::DriftKind::kSquare;
-      e.period = plan.drift_period;
-      e.duty = plan.drift_duty;
-    } else if (plan.drift_ramp_rounds > 0) {
-      e.kind = sim::DriftKind::kRamp;
-      e.ramp_rounds = plan.drift_ramp_rounds;
-    }
-    cluster.faults().schedule_drift(e);
-  }
-
   // ---- Adaptive control loop (src/ctrl), seeded from the negotiated
   // epoch times; null when disabled — every branch below then falls back
   // to the static knobs, keeping the run bit-identical to today.
@@ -272,11 +256,10 @@ RtResult run_hadfl_coordinator(const fl::SchemeContext& ctx,
     }
     controller = std::make_unique<ctrl::AdaptiveController>(
         config.hadfl.adaptive, std::move(step_time), strategy.round_window,
-        strategy.local_steps, eff_chunks, config.hadfl.compression,
+        strategy.local_steps, sync_chunks, config.hadfl.compression,
         config.hadfl.top_k_ratio);
     controller->bind_metrics(env.telemetry.metrics);
   }
-  std::vector<float> prev_eval;  // controller's round-over-round signal
 
   core::RuntimeSupervisor supervisor(k, config.hadfl.alpha);
   core::ModelManager model_manager(config.hadfl.backup_dir,
@@ -322,7 +305,7 @@ RtResult run_hadfl_coordinator(const fl::SchemeContext& ctx,
     const std::size_t round_chunks =
         controller && controller->plan().sync_chunks != 0
             ? controller->plan().sync_chunks
-            : eff_chunks;
+            : sync_chunks;
     const bool force_raw = controller && controller->plan().force_raw;
     const bool codec_on =
         round_codec != core::SyncCompression::kNone && !force_raw;
@@ -354,7 +337,6 @@ RtResult run_hadfl_coordinator(const fl::SchemeContext& ctx,
         c.deadline_s = window;
       }
       for (const FaultPlan& plan : config.faults) {
-        if (plan.slow_factor != 1.0) continue;  // drift, not a death
         if (plan.device == d && plan.round == round && !plan.during_sync) {
           c.die_after = static_cast<std::int64_t>(plan.after_steps);
           c.die_silently = plan.silent;
@@ -440,7 +422,7 @@ RtResult run_hadfl_coordinator(const fl::SchemeContext& ctx,
            ++attempt) {
         const double att0 = rec != nullptr ? rec->now_s() : 0.0;
         const RtRingRepairResult repair = repair_ring(
-            transport, detector, ring, config.repair, rec, coord_track);
+            transport, detector, ring, config.hadfl.repair, rec, coord_track);
         result.extras.ring_repairs += repair.repairs;
         for (DeviceId d : repair.removed) fence(d);
         ring = repair.ring;
@@ -476,7 +458,6 @@ RtResult run_hadfl_coordinator(const fl::SchemeContext& ctx,
           c.codec_ratio = round_ratio;
           c.cancel = cancel;
           for (const FaultPlan& plan : config.faults) {
-            if (plan.slow_factor != 1.0) continue;  // drift, not a death
             if (plan.device == ring[i] && plan.round == round &&
                 plan.during_sync && attempt == 0) {
               c.die_after = static_cast<std::int64_t>(plan.after_steps);
@@ -677,7 +658,7 @@ RtResult run_hadfl_coordinator(const fl::SchemeContext& ctx,
           c.my_index = i;
           c.collective_id = cid;
           c.wire_bytes = wire_bytes;
-          c.chunks = eff_chunks;
+          c.chunks = sync_chunks;
           c.cancel = cancel;
           if (post(leaders[i], std::move(c))) posted.push_back(leaders[i]);
         }
@@ -707,14 +688,14 @@ RtResult run_hadfl_coordinator(const fl::SchemeContext& ctx,
             c.peers = members;
             c.collective_id = push_id;
             c.wire_bytes = wire_bytes;
-            c.chunks = eff_chunks;
+            c.chunks = sync_chunks;
             if (post(leaders[g], std::move(c))) {
               for (DeviceId id : members) {
                 Command c2;
                 c2.kind = CmdKind::kInterMix;
                 c2.peer = leaders[g];
                 c2.collective_id = push_id;
-                c2.chunks = eff_chunks;
+                c2.chunks = sync_chunks;
                 post(id, std::move(c2));
               }
             }
@@ -762,21 +743,7 @@ RtResult run_hadfl_coordinator(const fl::SchemeContext& ctx,
         eval.loss, eval.accuracy});
 
     if (controller) {
-      // Convergence signal: relative round-over-round aggregate movement,
-      // derived from successive evaluation states like the simulator's.
-      if (prev_eval.size() == eval_state.size()) {
-        double num = 0.0;
-        double den = 0.0;
-        for (std::size_t i = 0; i < eval_state.size(); ++i) {
-          const double diff = static_cast<double>(eval_state[i]) -
-                              static_cast<double>(prev_eval[i]);
-          num += diff * diff;
-          den += static_cast<double>(prev_eval[i]) *
-                 static_cast<double>(prev_eval[i]);
-        }
-        if (den > 0.0) controller->observe_delta_norm(std::sqrt(num / den));
-      }
-      prev_eval = eval_state;
+      controller->observe_eval_state(eval_state);
       controller->end_round();
     }
 

@@ -9,7 +9,7 @@
 // the in-process thread runner and the multi-process socket runner is
 // behind `CoordinatorIo` (command/report channels) and `DeviceOracle`
 // (reads of device state the coordinator cannot address directly). The
-// inproc implementations live in rt/runner.cpp, the socket ones in
+// inproc implementations live in rt/inproc_io.hpp, the socket ones in
 // src/net/runner.cpp.
 #pragma once
 

@@ -86,78 +86,64 @@ std::vector<DeviceId> FailureDetector::suspects() const {
   return out;
 }
 
+namespace {
+
+/// §III-D on the wall clock. Suspicion is a stale heartbeat or an endpoint
+/// the transport already knows is closed; either way the handshake must
+/// confirm the death.
+struct RtRepairProbe {
+  Transport& transport;
+  const FailureDetector& detector;
+  const comm::RingRepairConfig& config;
+  obs::SpanRecorder* spans;
+  std::size_t span_track;
+  std::vector<std::pair<DeviceId, DeviceId>>& warns;
+  double t0 = 0.0;  ///< start of the current wait (kRepair span)
+
+  bool suspect(DeviceId member, DeviceId /*observer*/) const {
+    return !detector.is_alive(member) || !transport.alive(member);
+  }
+
+  bool handshake(DeviceId downstream, DeviceId member) {
+    t0 = spans != nullptr ? spans->now_s() : 0.0;
+    sleep_s(config.wait_before_handshake);
+    return transport.handshake(downstream, member, config.handshake_timeout);
+  }
+
+  void warn(DeviceId dead, DeviceId upstream, DeviceId downstream) {
+    // See RtRingRepairResult::warns for the repairs that send no warning.
+    if (upstream != downstream && transport.alive(upstream) &&
+        transport.alive(downstream)) {
+      Message msg;
+      msg.tag = make_tag(MsgKind::kWarn, dead);
+      try {
+        transport.send_nonblocking(downstream, upstream, std::move(msg));
+        warns.emplace_back(upstream, downstream);
+      } catch (const CommError&) {
+        // The upstream died between the check and the push; the next
+        // sweep of the loop will bypass it too.
+      }
+    }
+    if (spans != nullptr) {
+      spans->record(span_track, t0, spans->now_s(), obs::SpanKind::kRepair,
+                    "repair dev" + std::to_string(dead));
+    }
+  }
+};
+
+}  // namespace
+
 RtRingRepairResult repair_ring(Transport& transport,
                                const FailureDetector& detector,
                                const std::vector<DeviceId>& ring,
-                               const RtRingRepairConfig& config,
+                               const comm::RingRepairConfig& config,
                                obs::SpanRecorder* spans,
                                std::size_t span_track) {
-  HADFL_CHECK_ARG(!ring.empty(), "repair_ring on empty ring");
-
   RtRingRepairResult result;
-  result.ring = ring;
-
-  // Iterate until stable: bypassing one device changes the downstream
-  // relationships, and multiple (possibly consecutive) members may be dead.
-  bool changed = true;
-  while (changed && result.ring.size() > 1) {
-    changed = false;
-    for (std::size_t i = 0; i < result.ring.size(); ++i) {
-      const DeviceId candidate = result.ring[i];
-      const DeviceId downstream = result.ring[(i + 1) % result.ring.size()];
-      if (downstream == candidate) break;
-      // Suspicion: stale heartbeat or an endpoint the transport already
-      // knows is closed. Either way death must be confirmed by handshake.
-      if (detector.is_alive(candidate) && transport.alive(candidate)) {
-        continue;
-      }
-      // Downstream waits the pre-specified time, then handshakes.
-      const double t0 = spans != nullptr ? spans->now_s() : 0.0;
-      sleep_s(config.wait_before_handshake_s);
-      const bool alive = transport.handshake(downstream, candidate,
-                                             config.handshake_timeout_s);
-      if (alive) continue;  // transient: came back within the window
-      // Warn the dead device's upstream, which bypasses it. The warn is
-      // recorded only when the push actually went out: a 2-member ring
-      // (the survivor IS the upstream), a dead neighbour, or the upstream
-      // dying under the push all repair without a warning.
-      const DeviceId upstream =
-          result.ring[(i + result.ring.size() - 1) % result.ring.size()];
-      bool warned = false;
-      if (upstream != downstream && transport.alive(upstream) &&
-          transport.alive(downstream)) {
-        Message warn;
-        warn.tag = make_tag(MsgKind::kWarn, candidate);
-        try {
-          transport.send_nonblocking(downstream, upstream, std::move(warn));
-          warned = true;
-        } catch (const CommError&) {
-          // The upstream died between the check and the push; the next
-          // sweep of the loop will bypass it too.
-        }
-      }
-      HADFL_INFO("rt ring repair: dev" << candidate << " bypassed (upstream dev"
-                                       << upstream << " -> dev" << downstream
-                                       << ")");
-      if (spans != nullptr) {
-        spans->record(span_track, t0, spans->now_s(), obs::SpanKind::kRepair,
-                      "repair dev" + std::to_string(candidate));
-      }
-      if (warned) result.warns.emplace_back(upstream, downstream);
-      result.removed.push_back(candidate);
-      result.ring.erase(result.ring.begin() + static_cast<std::ptrdiff_t>(i));
-      ++result.repairs;
-      changed = true;
-      break;
-    }
-  }
-
-  // Single survivor that is itself dead: report an empty ring.
-  if (result.ring.size() == 1 && (!detector.is_alive(result.ring[0]) ||
-                                  !transport.alive(result.ring[0]))) {
-    result.removed.push_back(result.ring[0]);
-    result.ring.clear();
-  }
+  RtRepairProbe probe{transport, detector, config, spans, span_track,
+                      result.warns};
+  static_cast<comm::RingRepairResult&>(result) =
+      comm::run_ring_repair(ring, probe);
   return result;
 }
 

@@ -6,14 +6,12 @@
 //    command-poll iteration (its "daemon"); a device whose last beat is
 //    older than the configured timeout is suspected dead. Suspicion is
 //    cheap and possibly transient — it only triggers the handshake below.
-//  * `repair_ring` — the wait → handshake → warn-upstream → bypass protocol
-//    executed on real time: for each suspect the downstream neighbour waits
-//    the pre-specified time, confirms death via a transport handshake (a
-//    real probe against the peer's endpoint), then warns the dead device's
-//    upstream with a fire-and-forget kWarn push so it bypasses the dead
-//    member. Consecutive dead members chain: once d is bypassed, its
-//    (also dead) upstream becomes the new silent neighbour and the loop
-//    repeats until the ring is stable.
+//  * `repair_ring` — the shared wait → handshake → warn-upstream → bypass
+//    loop (comm/failure_detector.hpp) on real time: for each suspect the
+//    downstream neighbour waits the pre-specified time, confirms death via
+//    a transport handshake (a real probe against the peer's endpoint), then
+//    warns the dead device's upstream with a fire-and-forget kWarn push so
+//    it bypasses the dead member.
 #pragma once
 
 #include <atomic>
@@ -23,6 +21,7 @@
 #include <utility>
 #include <vector>
 
+#include "comm/failure_detector.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
 #include "rt/transport.hpp"
@@ -74,15 +73,8 @@ class FailureDetector {
   obs::Histogram* silence_ = nullptr;
 };
 
-struct RtRingRepairConfig {
-  double wait_before_handshake_s = 0.05;  ///< §III-D pre-specified wait
-  double handshake_timeout_s = 0.05;
-};
-
-struct RtRingRepairResult {
-  std::vector<DeviceId> ring;     ///< surviving members in ring order
-  std::vector<DeviceId> removed;  ///< bypassed (dead) members
-  std::size_t repairs = 0;        ///< number of bypass operations
+/// `comm::RingRepairResult` plus the warnings that actually went out.
+struct RtRingRepairResult : comm::RingRepairResult {
   /// (warned upstream, downstream it should now talk to), one entry per
   /// kWarn push that actually went out. A repair contributes no entry when
   /// no warning was sendable: a 2-member ring (upstream == downstream, the
@@ -91,11 +83,11 @@ struct RtRingRepairResult {
   std::vector<std::pair<DeviceId, DeviceId>> warns;
 };
 
-/// Executes the §III-D repair protocol against real endpoints: suspects come
-/// from the heartbeat detector (or an already-closed transport endpoint),
-/// death is confirmed by a wall-clock handshake, and the bypass warning is a
-/// kWarn push on the upstream link. Iterates until the ring is stable, so
-/// runs of consecutive dead devices are chained out one by one.
+/// Runs the §III-D loop (`comm::run_ring_repair`) against real endpoints,
+/// with `config`'s times in wall seconds: suspects come from the heartbeat
+/// detector (or an already-closed transport endpoint), death is confirmed
+/// by a wall-clock handshake, and the bypass warning is a kWarn push on the
+/// upstream link.
 ///
 /// Telemetry: with `spans` set, each bypass records a kRepair span on
 /// `span_track` (the caller's — normally the coordinator's — track; the
@@ -104,7 +96,7 @@ struct RtRingRepairResult {
 RtRingRepairResult repair_ring(Transport& transport,
                                const FailureDetector& detector,
                                const std::vector<DeviceId>& ring,
-                               const RtRingRepairConfig& config = {},
+                               const comm::RingRepairConfig& config = {},
                                obs::SpanRecorder* spans = nullptr,
                                std::size_t span_track = 0);
 

@@ -4,12 +4,13 @@
 // pinned against InprocTransport's contract over real UDS/TCP connections
 // — including the pre-handler frame backlog and large-frame stream
 // reassembly regressions — and the end-to-end multi-process runs: bit
-// identity with the inproc rt backend and §III-D repair when a device
-// process dies mid-sync.
+// identity with the inproc rt backend, also when a scheduled device death
+// sends the run through the §III-D repair.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/time.h>
@@ -20,6 +21,7 @@
 #include <chrono>
 #include <cstring>
 #include <ctime>
+#include <initializer_list>
 #include <mutex>
 #include <optional>
 #include <thread>
@@ -599,6 +601,38 @@ TEST(NetTransport, KillDropsConnectionAndResolvesPendingSends) {
   EXPECT_FALSE(mesh[0].handshake(0, 1, 0.05));
 }
 
+TEST(NetTransport, SendToResetPeerFailsWithoutSigpipe) {
+  // Regression: a survivor's node process wrote to the socket of a ring
+  // neighbour that had just died, took SIGPIPE and exited, and the
+  // coordinator fenced it as a second death. A send to a reset peer must
+  // fail (here a CommError; the IO loop drops the connection on the same
+  // error) and the process must live. Linux answers the first send after a
+  // reset with ECONNRESET and later ones with EPIPE, the error that comes
+  // with the signal, so the send runs twice.
+  const TcpListener listener = make_tcp_listener();
+  const int fd = dial_tcp(listener.port, 5.0);
+  const int peer = ::accept(listener.fd, nullptr, nullptr);
+  ASSERT_GE(peer, 0);
+  const linger reset{1, 0};  // close() sends RST instead of FIN
+  ASSERT_EQ(::setsockopt(peer, SOL_SOCKET, SO_LINGER, &reset, sizeof(reset)),
+            0);
+  close_fd(peer);
+  // No events requested: poll reports only POLLERR/POLLHUP, so each slice
+  // really waits for the reset.
+  pollfd pfd{fd, 0, 0};
+  for (int i = 0; i < 500 && (pfd.revents & (POLLERR | POLLHUP)) == 0; ++i) {
+    ASSERT_GE(::poll(&pfd, 1, 10), 0);
+  }
+  ASSERT_NE(pfd.revents & (POLLERR | POLLHUP), 0) << "reset never arrived";
+  const std::vector<std::uint8_t> bytes(4096, 0x5a);
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    EXPECT_THROW(write_all(fd, bytes.data(), bytes.size()), CommError)
+        << "attempt " << attempt;
+  }
+  close_fd(fd);
+  close_fd(listener.fd);
+}
+
 TEST(NetTransport, PurgeStaleNacksOldCollectivesOnly) {
   UdsMesh mesh(2);
   Message old_msg;
@@ -680,24 +714,10 @@ ArgParser e2e_args(std::vector<const char*> extra = {}) {
   return ArgParser(static_cast<int>(argv.size()), argv.data());
 }
 
-/// Coordinator-side runtime knobs tightened the way test_rt's
-/// fast_rt_config does; the node processes keep the defaults, which only
-/// affect pacing, never numerics.
-void tighten(rt::RtConfig& config) {
-  config.heartbeat_timeout_s = 2.0;
-  config.collective_timeout_s = 5.0;
-  config.command_poll_s = 0.002;
-  config.repair.wait_before_handshake_s = 0.002;
-  config.repair.handshake_timeout_s = 0.01;
-}
-
 rt::RtResult run_net(const ArgParser& args, const exp::RunSetup& setup,
-                     TransportKind kind,
-                     std::vector<rt::FaultPlan> faults = {}) {
+                     const rt::RtConfig& rt_config, TransportKind kind) {
   NetRunConfig config;
-  config.rt = exp::make_rt_config(args, setup.scenario);
-  tighten(config.rt);
-  config.rt.faults = std::move(faults);
+  config.rt = rt_config;
   config.kind = kind;
   config.node_binary = HADFL_NODE_BINARY;
   config.node_args = exp::scenario_forward_args(args);
@@ -705,89 +725,127 @@ rt::RtResult run_net(const ArgParser& args, const exp::RunSetup& setup,
   return run_hadfl_net(ctx, config);
 }
 
-TEST(NetE2E, MultiProcessRunMatchesInprocRtBitExactly) {
-  // The tentpole acceptance: K=4 over real sockets — both flavours — ends
-  // with the byte-identical model the single-process rt backend computes.
-  const ArgParser args = e2e_args();
+/// The rt == net contract: the run `args` describes, with the scheduled
+/// `faults`, ends the same on the inproc rt backend and on net over each of
+/// `kinds` — final-state hash, every round's selections, sync_rounds,
+/// ring_repairs, and one detected death per fault. Every survivor ships its
+/// kStopped stats and byte counters home; a dead device never does. Each
+/// run also survives its faults (§III-D): it keeps aggregating, no ring
+/// from a victim's death round on holds the victim, and each death costs
+/// at least one ring repair (the fault runs select every candidate, so
+/// each victim is in the ring of the round it dies in).
+void expect_net_matches_inproc(
+    const ArgParser& args, const std::vector<rt::FaultPlan>& faults = {},
+    std::initializer_list<TransportKind> kinds = {TransportKind::kTcp},
+    double heartbeat_timeout_s = 2.0) {
   const exp::RunSetup setup = exp::make_run_setup(args);
+  rt::RtConfig config = exp::make_rt_config(args, setup.scenario);
+  config.faults = faults;
+  // Coordinator-side knobs tightened the way test_rt's fast_rt_config
+  // does; the node processes keep the defaults, which only affect pacing,
+  // never numerics.
+  config.heartbeat_timeout_s = heartbeat_timeout_s;
+  config.collective_timeout_s = 5.0;
+  config.command_poll_s = 0.002;
+  config.hadfl.repair.wait_before_handshake = 0.002;
+  config.hadfl.repair.handshake_timeout = 0.01;
+  const fl::SchemeContext ctx = setup.context();
+  const rt::RtResult inproc = rt::run_hadfl_rt(ctx, config);
+  EXPECT_EQ(inproc.deaths_detected, faults.size());
+  EXPECT_GE(inproc.extras.ring_repairs, faults.size());
+  const auto is_victim = [&faults](std::size_t d) {
+    return std::any_of(faults.begin(), faults.end(),
+                       [d](const rt::FaultPlan& f) { return f.device == d; });
+  };
 
-  rt::RtConfig rt_config = exp::make_rt_config(args, setup.scenario);
-  tighten(rt_config);
-  const fl::SchemeContext rt_ctx = setup.context();
-  const rt::RtResult inproc = rt::run_hadfl_rt(rt_ctx, rt_config);
-  ASSERT_FALSE(inproc.scheme.final_state.empty());
-
-  for (const TransportKind kind : {TransportKind::kUds, TransportKind::kTcp}) {
+  for (const TransportKind kind : kinds) {
     SCOPED_TRACE(kind == TransportKind::kUds ? "uds" : "tcp");
-    const rt::RtResult net = run_net(args, setup, kind);
+    const rt::RtResult net = run_net(args, setup, config, kind);
     EXPECT_EQ(net.scheme.scheme_name, "hadfl-net");
-    EXPECT_EQ(net.deaths_detected, 0u);
+    EXPECT_EQ(net.deaths_detected, inproc.deaths_detected);
+    EXPECT_EQ(net.extras.ring_repairs, inproc.extras.ring_repairs);
     EXPECT_EQ(net.scheme.sync_rounds, inproc.scheme.sync_rounds);
-    ASSERT_EQ(net.extras.selected.size(), inproc.extras.selected.size());
-    for (std::size_t r = 0; r < inproc.extras.selected.size(); ++r) {
-      EXPECT_EQ(net.extras.selected[r], inproc.extras.selected[r])
-          << "round " << r;
-    }
-    ASSERT_EQ(net.scheme.final_state.size(),
-              inproc.scheme.final_state.size());
-    for (std::size_t i = 0; i < inproc.scheme.final_state.size(); ++i) {
-      ASSERT_EQ(net.scheme.final_state[i], inproc.scheme.final_state[i])
-          << "parameter " << i;
-    }
+    EXPECT_EQ(net.extras.selected, inproc.extras.selected);
+    EXPECT_FALSE(net.scheme.final_state.empty());
     EXPECT_EQ(exp::state_hash(net.scheme.final_state),
               exp::state_hash(inproc.scheme.final_state));
-    // The workers shipped their per-process byte counters home.
-    for (std::size_t d = 0; d < 4; ++d) {
-      EXPECT_TRUE(net.device_stats[d].reported) << "device " << d;
-      EXPECT_GT(net.scheme.volume.sent[d], 0u) << "device " << d;
+    for (std::size_t d = 0; d < net.device_stats.size(); ++d) {
+      const bool victim = is_victim(d);
+      EXPECT_EQ(net.device_stats[d].reported, !victim) << "device " << d;
+      if (!victim) {
+        EXPECT_GT(net.scheme.volume.sent[d], 0u) << "device " << d;
+      }
+    }
+    if (faults.empty()) continue;
+    EXPECT_GT(net.scheme.sync_rounds, 1u);  // survivors kept aggregating
+    for (const rt::FaultPlan& f : faults) {
+      // selected[i] is the ring round i + 1 committed.
+      for (std::size_t i = f.round - 1; i < net.extras.selected.size(); ++i) {
+        const auto& ring = net.extras.selected[i];
+        EXPECT_TRUE(std::find(ring.begin(), ring.end(), f.device) == ring.end())
+            << "device " << f.device << ", round " << i + 1;
+      }
     }
   }
+}
+
+TEST(NetE2E, MultiProcessRunMatchesInprocRtBitExactly) {
+  // K=4 over real sockets — both flavours — ends with the byte-identical
+  // model the single-process rt backend computes.
+  expect_net_matches_inproc(e2e_args(), {},
+                            {TransportKind::kUds, TransportKind::kTcp});
 }
 
 TEST(NetE2E, GroupedRunMatchesInprocRt) {
   // Hierarchical grouping (§III-A) active over sockets: intra-group rings
   // plus the kInterSync leader collective, still bit-identical to inproc.
-  const ArgParser args = e2e_args({"--group-size=2"});
-  const exp::RunSetup setup = exp::make_run_setup(args);
+  expect_net_matches_inproc(e2e_args({"--group-size=2"}), {},
+                            {TransportKind::kUds});
+}
 
-  rt::RtConfig rt_config = exp::make_rt_config(args, setup.scenario);
-  tighten(rt_config);
-  const fl::SchemeContext rt_ctx = setup.context();
-  const rt::RtResult inproc = rt::run_hadfl_rt(rt_ctx, rt_config);
+// Fault runs: each schedules one death and must end the same on inproc rt
+// and on four TCP node processes. `--np=4` selects every candidate, as does
+// the default `--np=2` in groups of two, so the victim is in the ring the
+// §III-D repair has to bypass.
 
-  const rt::RtResult net = run_net(args, setup, TransportKind::kUds);
-  ASSERT_EQ(net.scheme.final_state.size(), inproc.scheme.final_state.size());
-  for (std::size_t i = 0; i < inproc.scheme.final_state.size(); ++i) {
-    ASSERT_EQ(net.scheme.final_state[i], inproc.scheme.final_state[i])
-        << "parameter " << i;
-  }
+TEST(NetE2E, DeathInTrainingMatchesInprocRt) {
+  expect_net_matches_inproc(
+      e2e_args({"--np=4", "--epochs=4"}),
+      {rt::FaultPlan{/*device=*/1, /*round=*/1, /*after_steps=*/1}});
 }
 
 TEST(NetE2E, SurvivesDeviceProcessDeathMidSync) {
-  // §III-D over real connections: the fault strikes inside the pipelined
-  // ring collective, the dying node's endpoint vanishes mid-transfer, the
-  // survivors' collectives abort (two-phase: cancel + purge), the
-  // coordinator repairs the ring, and the round completes without the dead
-  // member.
-  const ArgParser args = e2e_args({"--np=4", "--epochs=4"});
-  const exp::RunSetup setup = exp::make_run_setup(args);
-  std::vector<rt::FaultPlan> faults;
-  faults.push_back(rt::FaultPlan{/*device=*/1, /*round=*/1,
-                                 /*after_steps=*/2, /*silent=*/false,
-                                 /*during_sync=*/true});
-  const rt::RtResult r = run_net(args, setup, TransportKind::kTcp,
-                                 std::move(faults));
-  EXPECT_EQ(r.deaths_detected, 1u);
-  EXPECT_GE(r.extras.ring_repairs, 1u);
-  EXPECT_GT(r.scheme.sync_rounds, 1u);  // survivors kept aggregating
-  EXPECT_FALSE(r.scheme.final_state.empty());
-  for (std::size_t round = 1; round < r.extras.selected.size(); ++round) {
-    const auto& ring = r.extras.selected[round];
-    EXPECT_TRUE(std::find(ring.begin(), ring.end(), 1u) == ring.end())
-        << "round " << round;
-  }
-  // The dead process never shipped its kStopped stats.
-  EXPECT_FALSE(r.device_stats[1].reported);
+  // The fault strikes inside the pipelined ring collective, the dying
+  // node's endpoint vanishes mid-transfer, the survivors' collectives abort
+  // (two-phase: cancel + purge), the coordinator repairs the ring, and the
+  // round completes without the dead member.
+  expect_net_matches_inproc(
+      e2e_args({"--np=4", "--epochs=4"}),
+      {rt::FaultPlan{/*device=*/1, /*round=*/1, /*after_steps=*/2,
+                     /*silent=*/false, /*during_sync=*/true}});
+}
+
+TEST(NetE2E, SilentDeathInTrainingMatchesInprocRt) {
+  // The endpoint stays open: only the missing heartbeats reveal the death,
+  // and the coordinator fences the device once the timeout runs out.
+  expect_net_matches_inproc(
+      e2e_args({"--np=4", "--epochs=4"}),
+      {rt::FaultPlan{/*device=*/2, /*round=*/1, /*after_steps=*/1,
+                     /*silent=*/true}},
+      {TransportKind::kTcp}, /*heartbeat_timeout_s=*/0.5);
+}
+
+TEST(NetE2E, TopKDeathMidSyncMatchesInprocRt) {
+  expect_net_matches_inproc(
+      e2e_args({"--np=4", "--epochs=4", "--sync-codec=topk"}),
+      {rt::FaultPlan{/*device=*/1, /*round=*/1, /*after_steps=*/2,
+                     /*silent=*/false, /*during_sync=*/true}});
+}
+
+TEST(NetE2E, GroupedDeathInTrainingMatchesInprocRt) {
+  expect_net_matches_inproc(
+      e2e_args({"--epochs=4", "--group-size=2"}),
+      {rt::FaultPlan{/*device=*/1, /*round=*/1, /*after_steps=*/1}});
 }
 
 }  // namespace

@@ -8,14 +8,19 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <memory>
+#include <optional>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/thread_pool.hpp"
 #include "core/trainer.hpp"
 #include "exp/runner.hpp"
 #include "rt/collectives.hpp"
 #include "rt/failure_detector.hpp"
+#include "rt/inproc_io.hpp"
 #include "rt/mailbox.hpp"
 #include "rt/runner.hpp"
 #include "rt/transport.hpp"
@@ -389,7 +394,7 @@ TEST(RtCollectives, ChunkWireBytesTelescopesToTheFullPrice) {
 // The tentpole property: for any ring size and chunk count, every member's
 // pipelined aggregate is bit-for-bit the monolithic ring-order fold of the
 // same contributions — the invariant that keeps the sim/rt equivalence pin
-// green regardless of RtConfig::sync_chunks.
+// green regardless of the chunk count (HadflConfig::sync_chunks).
 TEST(RtCollectives, WeightedAggregateMatchesMonolithicFoldBitExact) {
   std::int64_t cid = 100;
   for (const std::size_t k : {2u, 3u, 4u, 8u}) {
@@ -560,9 +565,9 @@ TEST(RtRingRepair, TwoConsecutiveDeadMembersChainWarnings) {
   FailureDetector det(5, HeartbeatConfig{10.0});
   t.kill(1);
   t.kill(2);
-  RtRingRepairConfig cfg;
-  cfg.wait_before_handshake_s = 0.005;
-  cfg.handshake_timeout_s = 0.01;
+  comm::RingRepairConfig cfg;
+  cfg.wait_before_handshake = 0.005;
+  cfg.handshake_timeout = 0.01;
   const RtRingRepairResult r = repair_ring(t, det, {0, 1, 2, 3, 4}, cfg);
   EXPECT_EQ(r.ring, (std::vector<DeviceId>{0, 3, 4}));
   EXPECT_EQ(r.repairs, 2u);
@@ -581,9 +586,9 @@ TEST(RtRingRepair, TwoMemberRingRecordsNoSelfWarn) {
   InprocTransport t(3, fast_net());
   FailureDetector det(3, HeartbeatConfig{10.0});
   t.kill(1);
-  RtRingRepairConfig cfg;
-  cfg.wait_before_handshake_s = 0.005;
-  cfg.handshake_timeout_s = 0.01;
+  comm::RingRepairConfig cfg;
+  cfg.wait_before_handshake = 0.005;
+  cfg.handshake_timeout = 0.01;
   const RtRingRepairResult r = repair_ring(t, det, {0, 1}, cfg);
   EXPECT_EQ(r.ring, (std::vector<DeviceId>{0}));
   EXPECT_EQ(r.repairs, 1u);
@@ -607,9 +612,9 @@ TEST(RtRingRepair, HeartbeatSilenceAloneTriggersBypass) {
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
   });
-  RtRingRepairConfig cfg;
-  cfg.wait_before_handshake_s = 0.005;
-  cfg.handshake_timeout_s = 0.01;
+  comm::RingRepairConfig cfg;
+  cfg.wait_before_handshake = 0.005;
+  cfg.handshake_timeout = 0.01;
   std::this_thread::sleep_for(std::chrono::milliseconds(80));  // 1 goes stale
   const RtRingRepairResult transient = repair_ring(t, det, {0, 1, 2}, cfg);
   EXPECT_EQ(transient.repairs, 0u);  // handshake answered: transient
@@ -635,8 +640,8 @@ RtConfig fast_rt_config(const core::HadflConfig& hadfl) {
   config.heartbeat_timeout_s = 2.0;  // generous: CI boxes schedule coarsely
   config.collective_timeout_s = 5.0;
   config.command_poll_s = 0.002;
-  config.repair.wait_before_handshake_s = 0.002;
-  config.repair.handshake_timeout_s = 0.01;
+  config.hadfl.repair.wait_before_handshake = 0.002;
+  config.hadfl.repair.handshake_timeout = 0.01;
   return config;
 }
 
@@ -829,6 +834,113 @@ TEST(RtRunner, SurvivesSilentDeathMidCollective) {
   EXPECT_FALSE(r.scheme.final_state.empty());
 }
 
+// ------------------------------------------- Coordinator report collection
+
+/// The inproc coordinator endpoints, except that `late`'s kStopped report
+/// is held back for one poll, during which `late`'s transport endpoint
+/// closes. A node process that reports and exits produces this order over
+/// sockets when the coordinator's poll times out just before the report
+/// lands.
+class LateStoppedReportIo final : public CoordinatorIo {
+ public:
+  LateStoppedReportIo(CoordinatorIo& inner, Transport& transport,
+                      DeviceId late)
+      : inner_(inner), transport_(transport), late_(late) {}
+
+  bool post(DeviceId d, Command command) override {
+    return inner_.post(d, std::move(command));
+  }
+  std::optional<Report> poll_report(double timeout_s) override {
+    if (held_) return std::exchange(held_, std::nullopt);
+    std::optional<Report> r = inner_.poll_report(timeout_s);
+    if (r && r->device == late_ && r->kind == ReportKind::kStopped &&
+        transport_.alive(late_)) {
+      transport_.kill(late_);
+      held_ = std::move(r);
+      return std::nullopt;
+    }
+    return r;
+  }
+  void close_channel(DeviceId d) override { inner_.close_channel(d); }
+  void cancel_collective(const std::vector<DeviceId>& members,
+                         std::int64_t cid) override {
+    inner_.cancel_collective(members, cid);
+  }
+
+ private:
+  CoordinatorIo& inner_;
+  Transport& transport_;
+  DeviceId late_;
+  std::optional<Report> held_;
+};
+
+TEST(RtCoordinator, ReportQueuedBeforeTheEndpointClosesIsNoDeath) {
+  // A device whose endpoint closed while a poll came back empty is not dead
+  // when its report still sits in the mailbox: the coordinator drains the
+  // mailbox before it fences.
+  exp::Scenario s = rt_scenario();
+  s.train.total_epochs = 2;
+  exp::Environment environment(s);
+  fl::SchemeContext ctx = environment.context();
+  const RtConfig config = fast_rt_config(s.hadfl);
+  const std::size_t k = ctx.cluster.size();
+  constexpr DeviceId kLate = 2;
+
+  Rng rng(ctx.config.seed);
+  core::DeviceSetup setup = core::init_devices(ctx, config.hadfl, rng);
+  std::vector<double> bandwidth_scales(k);
+  for (std::size_t d = 0; d < k; ++d) {
+    bandwidth_scales[d] = ctx.cluster.bandwidth_scale(d);
+  }
+  InprocTransport transport(k, ctx.network, 0.0, bandwidth_scales);
+  FailureDetector detector(k, HeartbeatConfig{config.heartbeat_timeout_s});
+  std::vector<std::unique_ptr<Mailbox<Command>>> inboxes;
+  for (std::size_t d = 0; d < k; ++d) {
+    inboxes.push_back(std::make_unique<Mailbox<Command>>());
+  }
+  Mailbox<Report> reports;
+  std::vector<std::unique_ptr<InprocWorkerIo>> worker_ios;
+  std::vector<WorkerEnv> worker_envs(k);
+  for (std::size_t d = 0; d < k; ++d) {
+    worker_ios.push_back(
+        std::make_unique<InprocWorkerIo>(d, *inboxes[d], reports, detector));
+    worker_envs[d].id = d;
+    worker_envs[d].dev = &setup.devices[d];
+    worker_envs[d].transport = &transport;
+    worker_envs[d].io = worker_ios[d].get();
+    worker_envs[d].config = &config;
+    worker_envs[d].iter_time = ctx.cluster.iteration_time(d);
+  }
+
+  RtResult r;
+  {
+    ThreadPool pool(k);
+    struct InboxCloser {  // runs before the pool joins the workers
+      std::vector<std::unique_ptr<Mailbox<Command>>>& boxes;
+      ~InboxCloser() {
+        for (auto& box : boxes) box->close();
+      }
+    } closer{inboxes};
+    for (std::size_t d = 0; d < k; ++d) {
+      pool.submit([&worker_envs, d] { run_device_worker(worker_envs[d]); });
+    }
+    InprocCoordinatorIo inproc_io(inboxes, reports);
+    LateStoppedReportIo io(inproc_io, transport, kLate);
+    InprocDeviceOracle oracle(setup.devices);
+    CoordinatorEnv env;
+    env.transport = &transport;
+    env.detector = &detector;
+    env.io = &io;
+    env.oracle = &oracle;
+    r = run_hadfl_coordinator(ctx, config, setup, rng, env);
+  }
+  EXPECT_FALSE(transport.alive(kLate));  // the held-back path really ran
+  EXPECT_EQ(r.deaths_detected, 0u);
+  for (std::size_t d = 0; d < k; ++d) {
+    EXPECT_TRUE(r.device_stats[d].reported) << "device " << d;
+  }
+}
+
 TEST(RtRunner, ChunkCountDoesNotChangeTheAggregate) {
   // sync_chunks is a wall-time knob, not a numerics knob: runs that differ
   // only in chunk count end with bit-identical models.
@@ -837,11 +949,11 @@ TEST(RtRunner, ChunkCountDoesNotChangeTheAggregate) {
   exp::Environment env(s);
   fl::SchemeContext ctx_a = env.context();
   RtConfig config_a = fast_rt_config(s.hadfl);
-  config_a.sync_chunks = 1;  // monolithic
+  config_a.hadfl.sync_chunks = 1;  // monolithic
   const RtResult a = run_hadfl_rt(ctx_a, config_a);
   fl::SchemeContext ctx_b = env.context();
   RtConfig config_b = fast_rt_config(s.hadfl);
-  config_b.sync_chunks = 5;  // uneven pipeline
+  config_b.hadfl.sync_chunks = 5;  // uneven pipeline
   const RtResult b = run_hadfl_rt(ctx_b, config_b);
   ASSERT_EQ(a.scheme.final_state.size(), b.scheme.final_state.size());
   for (std::size_t i = 0; i < a.scheme.final_state.size(); ++i) {
@@ -918,17 +1030,6 @@ TEST(RtRunner, CompressedSyncShrinksWireVolumeAndStillLearns) {
   // 5% top-k at 6 half-scale epochs learns more slowly than int8 but must
   // still be far above the 10-class chance floor.
   EXPECT_GT(topk.scheme.metrics.best_accuracy(), 0.3);
-}
-
-TEST(RtRunner, CompressedRunRejectsMismatchedChunkGrids) {
-  exp::Scenario s = rt_scenario();
-  s.hadfl.compression = core::SyncCompression::kInt8;
-  s.hadfl.sync_chunks = 4;
-  exp::Environment env(s);
-  fl::SchemeContext ctx = env.context();
-  RtConfig config = fast_rt_config(s.hadfl);
-  config.sync_chunks = 8;  // disagrees with the shared hadfl grid
-  EXPECT_THROW(run_hadfl_rt(ctx, config), InvalidArgument);
 }
 
 }  // namespace
