@@ -1,18 +1,22 @@
 #!/usr/bin/env python3
-"""Fails unless every benchmark workload ends in the merge base's state hash.
+"""Fails unless every benchmark workload ends as it does at the merge base.
 
 Builds `hadfl_bench` twice on this machine, once from the merge base of
 BASE_REF and HEAD (extracted with `git archive`) and once from the working
 tree, runs each workload with `--smoke --seed=7 --min-reps=1 --trace=0` on
-both builds, and compares the `hash` of every repetition. Building both
-sides on one machine keeps the compiler and the ISA that `-march=native`
-picks the same on both. The hashes are read from the JSON summary that
-`hadfl_bench` prints as its last stdout line once every repetition has
-finished; a run that exits non-zero or prints no summary fails its workload.
-The repetition count follows the run's time budget, so the two sides may
-run a different number of repetitions.
+both builds, and compares every repetition's deterministic outputs: the
+state `hash` and the work counters `rounds`, `wire_kb_per_round` and
+`failed_rounds`. The counters catch a change that moves bytes or rounds but
+not the final state (a receiver rebuilds the same aggregate from a delta
+leg and from a dense leg, for one). Building both sides on one machine
+keeps the compiler and the ISA that `-march=native` picks the same on both.
+The values are read from the JSON summary that `hadfl_bench` prints as its
+last stdout line once every repetition has finished; a run that exits
+non-zero or prints no summary fails its workload. The repetition count
+follows the run's time budget, so the two sides may run a different number
+of repetitions.
 
-A change that moves results on purpose adds a line that starts with
+A change that moves these outputs on purpose adds a line that starts with
 `Hash-change:` to CHANGES.md, naming the affected workloads, e.g.
 
     Hash-change: sim-resnet, fleet-1m
@@ -36,6 +40,9 @@ from pathlib import Path
 
 WORKLOADS = ["sim-resnet", "rt-mlp", "net-tcp-topk", "fleet-1m"]
 RUN_FLAGS = ["--smoke", "--seed=7", "--min-reps=1", "--trace=0"]
+# The repetition fields that must not move: the state hash and the work
+# counters that are equal from run to run.
+EXACT_FIELDS = ["hash", "rounds", "wire_kb_per_round", "failed_rounds"]
 
 
 def git(repo, *args):
@@ -68,9 +75,9 @@ def build(src, build_dir):
     return build_dir / "hadfl_bench"
 
 
-def hashes(binary, workload, out_dir):
-    """The state hash of every repetition, in order; [] unless the run
-    exited 0 and ended with its JSON summary."""
+def outputs(binary, workload, out_dir):
+    """Every repetition's EXACT_FIELDS as one tuple, in order; [] unless
+    the run exited 0 and ended with its JSON summary."""
     out_dir.mkdir(parents=True, exist_ok=True)
     proc = subprocess.run([str(binary), f"--workload={workload}", *RUN_FLAGS,
                            f"--out-dir={out_dir}"], capture_output=True,
@@ -80,16 +87,19 @@ def hashes(binary, workload, out_dir):
         return []
     try:
         summary = json.loads(proc.stdout.splitlines()[-1])
-        return [rep["hash"] for rep in summary["reps"]]
+        return [tuple(rep[f] for f in EXACT_FIELDS) for rep in summary["reps"]]
     except (IndexError, KeyError, TypeError, ValueError):
         print(f"  {binary} printed no JSON summary")
         return []
 
 
 def tally(values):
-    """'0xab.. x3, 0xcd.. x1' — each distinct hash with its count."""
-    return ", ".join(f"{v} x{values.count(v)}"
-                     for v in sorted(set(values))) or "no hash"
+    """'(hash=0xab.. rounds=2 ...) x3' — each distinct output with its
+    count."""
+    def show(v):
+        return "(" + " ".join(f"{f}={x}" for f, x in zip(EXACT_FIELDS, v)) + ")"
+    return ", ".join(f"{show(v)} x{values.count(v)}"
+                     for v in sorted(set(values))) or "no output"
 
 
 def hash_change_workloads(repo, base):
@@ -125,7 +135,7 @@ def main():
         if workload in skipped:
             print(f"SKIP  {workload} (Hash-change)")
             continue
-        got = {side: hashes(binary, workload, work / f"{side}-out")
+        got = {side: outputs(binary, workload, work / f"{side}-out")
                for side, binary in binaries.items()}
         every = got["base"] + got["head"]
         ok = bool(got["base"]) and bool(got["head"]) and len(set(every)) == 1
@@ -133,9 +143,9 @@ def main():
               f"{tally(got['base'])}; head {tally(got['head'])}")
         failures += not ok
     if failures:
-        sys.exit(f"{failures} workload(s) failed or changed state hash; name "
-                 "a hash change on a Hash-change: line in CHANGES.md if it "
-                 "is intended")
+        sys.exit(f"{failures} workload(s) failed or changed a state hash or "
+                 "counter; name the workload on a Hash-change: line in "
+                 "CHANGES.md if the change is intended")
 
 
 if __name__ == "__main__":

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <map>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -20,7 +21,7 @@
 #include "core/coordinator.hpp"
 #include "core/fleet_selection.hpp"
 #include "core/round_logic.hpp"
-#include "fl/evaluate.hpp"
+#include "core/round_planner.hpp"
 #include "fl/local_trainer.hpp"
 #include "nn/cow_store.hpp"
 #include "nn/param_utils.hpp"
@@ -64,13 +65,6 @@ struct TrainJob {
 /// execute, the same discipline as the GEMM tile grid.
 constexpr std::size_t kFleetGrain = std::size_t{1} << 13;
 
-std::vector<double> capped_copy(const std::vector<double>& values,
-                                std::size_t cap) {
-  if (values.size() <= cap) return values;
-  return {values.begin(),
-          values.begin() + static_cast<std::ptrdiff_t>(cap)};
-}
-
 class FleetEngine {
  public:
   FleetEngine(const fl::SchemeContext& ctx, const HadflConfig& config,
@@ -80,14 +74,14 @@ class FleetEngine {
         fleet_(fleet),
         cluster_(ctx.cluster),
         k_(ctx.cluster.size()),
-        transport_(ctx.cluster, ctx.network),
-        rng_(ctx.config.seed) {}
+        transport_(ctx.cluster, ctx.network) {}
 
   FleetResult run();
 
  private:
   // ---- setup ----
-  void init_fleet();
+  /// The initial model dispatch; draws the head of the run's RNG stream.
+  void init_fleet(Rng& rng);
   void build_slots(std::size_t count);
 
   // ---- state plumbing ----
@@ -127,33 +121,18 @@ class FleetEngine {
   // ---- round pieces ----
   void warm_up(std::size_t num_groups);
   void full_sync_after_negotiation();
-  void record_point(const std::vector<float>& eval_state);
-  bool aggregate_group(const std::vector<sim::DeviceId>& candidates,
-                       const std::vector<double>& predicted,
-                       std::vector<sim::DeviceId>& selected_this_round,
-                       std::vector<float>& eval_state);
+  void aggregate_group(const std::vector<sim::DeviceId>& candidates);
   /// One ring collective: folds the members' states — on a delta round,
   /// their codec-encoded deltas against the shared reference — into
-  /// `aggregate` and prices it on the transport. Returns whether it was a
-  /// delta round; throws CommError when a member dies mid-collective.
-  bool sync_ring(const std::vector<sim::DeviceId>& ring,
+  /// `aggregate` and prices it on the transport. Throws CommError when a
+  /// member dies mid-collective.
+  void sync_ring(const std::vector<sim::DeviceId>& ring, const SyncPlan& sync,
                  std::vector<float>& aggregate);
   void broadcast_integrate(const std::vector<sim::DeviceId>& delivered,
                            const std::vector<float>& aggregate,
                            double version_mean);
-  void inter_group_sync(const DeviceGroups& groups,
-                        const LivenessMonitor& liveness,
-                        std::vector<float>& eval_state);
-
-  /// One codec-encoded state exchange: the full-size wire price scaled by
-  /// the codec's data-independent compression ratio.
-  std::size_t delta_wire_bytes() const {
-    return effective_wire_bytes(
-        wire_bytes_,
-        comm::encoded_state_bytes(plan_->codec, state_floats_,
-                                  plan_->sync_chunks, plan_->topk_ratio),
-        state_floats_ * sizeof(float));
-  }
+  void inter_group_sync(const std::vector<sim::DeviceId>& leaders,
+                        const LivenessMonitor& liveness);
 
   /// A cohort covering the whole fleet has nothing to sample.
   bool exact_mode() const {
@@ -214,15 +193,13 @@ class FleetEngine {
   sim::Cluster& cluster_;
   const std::size_t k_;
   comm::SimTransport transport_;
-  Rng rng_;
+  std::optional<RoundPlanner> planner_;  ///< every decision of every round
 
-  std::shared_ptr<SelectionPolicy> policy_;
   std::unique_ptr<CowStateStore> store_;
   std::unique_ptr<CowStateStore> vstore_;  ///< momentum velocity slabs
   std::unique_ptr<nn::Sequential> reference_;
   std::size_t state_floats_ = 0;
   std::size_t velocity_floats_ = 0;
-  std::size_t wire_bytes_ = 0;
   std::size_t threads_ = 1;  ///< resolved scalar-sweep thread budget
   obs::SpanRecorder* recorder_ = nullptr;
   FleetObjective objective_ = FleetObjective::kGaussianQuartile;
@@ -232,37 +209,19 @@ class FleetEngine {
   std::vector<SlabId> sync_slab_;
   std::vector<SlabId> velocity_slab_;  ///< sized only when momentum > 0
   std::vector<double> version_;
-  std::vector<double> last_loss_;
   std::vector<std::size_t> last_executed_;
-  std::vector<std::uint8_t> trained_this_round_;
   std::vector<Rng> batch_rngs_;
   std::vector<std::size_t> ipe_;
-  std::vector<double> compute_powers_;
-  std::vector<double> bandwidth_scales_;
   std::unordered_map<sim::DeviceId, data::BatchIterator> batches_;
 
   std::vector<TrainerSlot> slots_;
   nn::StateAccumulator mean_acc_;
   WeightedRingFold ring_fold_;
 
-  TrainingStrategy strategy_;
-  std::vector<double> prev_actual_;  ///< full-K kLastValue history
-  double epochs_done_ = 0.0;
-
-  // ---- adaptive controller (src/ctrl) and delta codec; their per-device
-  // state is sized only when the feature is on ----
-  std::unique_ptr<ctrl::AdaptiveController> controller_;  ///< null if off
-  /// This round's codec knobs: the controller's plan in adaptive mode, the
-  /// static configuration otherwise (whose budgets stay in strategy_).
-  ctrl::RoundPlan static_plan_;
-  const ctrl::RoundPlan* plan_ = &static_plan_;
-  /// Each successful sync stamps its participants and the broadcast
-  /// receivers it reaches with a fresh reference epoch. Devices sharing an
-  /// epoch hold bit-identical last-sync references, the precondition for
-  /// exchanging encoded deltas against them (the rt backend uses its
-  /// collective ids the same way).
+  /// Delta-codec residuals, sized only when a codec or the controller is on.
   std::vector<comm::ErrorFeedback> feedback_;
-  std::vector<std::int64_t> ref_epoch_;
+  /// Each successful sync's reference epoch, which its members and the
+  /// receivers it reaches report to the planner (rt uses collective ids).
   std::int64_t sync_epoch_ = 0;
   std::vector<float> sync_scratch_;   ///< delta-round update staging
   std::vector<float> codec_payload_;  ///< per-chunk encode staging
@@ -270,13 +229,13 @@ class FleetEngine {
   FleetResult result_;
 };
 
-void FleetEngine::init_fleet() {
+void FleetEngine::init_fleet(Rng& rng) {
   // Mirrors init_devices' RNG contract draw for draw (round_logic.hpp):
   // the reference model consumes the main stream, then each device splits
   // a device stream whose model split is *discarded* — every device's
   // random init is overwritten by the dispatched state anyway, which is
   // exactly why the fleet can start all K devices on one shared slab.
-  reference_ = ctx_.make_model(rng_);
+  reference_ = ctx_.make_model(rng);
   reference_->pack();
   if (!config_.resume_from.empty()) {
     const std::vector<float> resumed = nn::load_state(config_.resume_from);
@@ -285,27 +244,18 @@ void FleetEngine::init_fleet() {
   }
   const std::span<const float> ref_state = nn::state_view(*reference_);
   state_floats_ = ref_state.size();
-  wire_bytes_ = ctx_.comm_state_bytes != 0 ? ctx_.comm_state_bytes
-                                           : state_floats_ * sizeof(float);
   store_ = std::make_unique<CowStateStore>(state_floats_);
 
   state_slab_.resize(k_);
   sync_slab_.resize(k_);
   version_.assign(k_, 0.0);
-  last_loss_.assign(k_, 0.0);
   last_executed_.assign(k_, 0);
-  trained_this_round_.assign(k_, 0);
   batch_rngs_.reserve(k_);
   ipe_.resize(k_);
-  const sim::DeviceTable& table = cluster_.table();
-  compute_powers_.assign(table.compute_powers().begin(),
-                         table.compute_powers().end());
-  bandwidth_scales_.assign(table.bandwidth_scales().begin(),
-                           table.bandwidth_scales().end());
 
   const SlabId init = store_->create(ref_state);
   for (std::size_t d = 0; d < k_; ++d) {
-    Rng dev_rng = rng_.split();
+    Rng dev_rng = rng.split();
     (void)dev_rng.split();  // the model stream — unused, see above
     batch_rngs_.push_back(dev_rng.split());
     store_->retain(init);
@@ -374,7 +324,9 @@ void FleetEngine::run_jobs(std::vector<TrainJob>& jobs, double learning_rate) {
         }
       },
       lanes);
-  for (const TrainJob& job : jobs) trained_this_round_[job.id] = 1;
+  for (const TrainJob& job : jobs) {
+    planner_->observe_training(job.id, job.steps, job.loss);
+  }
   result_.stats.train_episodes += jobs.size();
   span(start, obs::SpanKind::kCompute, "train");
 }
@@ -433,7 +385,7 @@ std::vector<float> FleetEngine::mean_state_classes(
 }
 
 void FleetEngine::warm_up(std::size_t num_groups) {
-  const int warmup_epochs = std::max(1, ctx_.config.warmup_epochs);
+  const int warmup_epochs = planner_->warmup_epochs();
   std::vector<sim::DeviceId> sample;
   if (exact_mode()) {
     sample.resize(k_);
@@ -441,8 +393,8 @@ void FleetEngine::warm_up(std::size_t num_groups) {
   } else {
     // Train a cohort-per-group id prefix: with a cycled power-ratio table
     // the prefix covers every heterogeneity class as long as it spans the
-    // ratio length. The rest of the fleet keeps the dispatched state and
-    // inherits the sample's mean loss for the first convergence point.
+    // ratio length. The rest of the fleet keeps the dispatched state; the
+    // first convergence point's train loss is the sample's mean.
     sample.resize(std::min(fleet_.cohort * std::max<std::size_t>(1, num_groups),
                            k_));
     for (std::size_t i = 0; i < sample.size(); ++i) {
@@ -457,19 +409,6 @@ void FleetEngine::warm_up(std::size_t num_groups) {
         make_job(d, static_cast<std::size_t>(warmup_epochs) * ipe_[d]));
   }
   run_jobs(jobs, ctx_.config.warmup_learning_rate);
-  double sample_loss = 0.0;
-  for (const TrainJob& job : jobs) {
-    last_loss_[job.id] = job.loss;
-    sample_loss += job.loss;
-  }
-  if (!exact_mode() && !jobs.empty()) {
-    sample_loss /= static_cast<double>(jobs.size());
-    std::vector<bool> trained(k_, false);
-    for (const TrainJob& job : jobs) trained[job.id] = true;
-    for (std::size_t d = 0; d < k_; ++d) {
-      if (!trained[d]) last_loss_[d] = sample_loss;
-    }
-  }
 
   // Timing is analytic for every device (the walk draws each device's own
   // jitter stream), so the negotiation clock walk is exact in both modes —
@@ -502,32 +441,7 @@ void FleetEngine::warm_up(std::size_t num_groups) {
       config_.trace != nullptr ? 1 : threads_);
   for (const sim::SimTime t : range_clock) cluster_.note_clock(t);
   cluster_.barrier_all();
-  result_.extras.negotiated_epoch_times.assign(
-      epoch_times.begin(),
-      epoch_times.begin() +
-          static_cast<std::ptrdiff_t>(
-              std::min(fleet_.extras_device_cap, k_)));
-
-  const StrategyGenerator generator(config_.strategy);
-  strategy_ = generator.generate(epoch_times, ipe_);
-  result_.extras.strategy = strategy_;
-  HADFL_INFO("hadfl strategy: H_E=" << strategy_.hyperperiod << "s window="
-                                    << strategy_.round_window << "s");
-  epochs_done_ = warmup_epochs;
-
-  if (config_.adaptive.enabled) {
-    // Seeded from the warm-up, so its first plans reproduce the static
-    // strategy exactly.
-    std::vector<double> step_time(k_);
-    for (std::size_t d = 0; d < k_; ++d) {
-      step_time[d] = epoch_times[d] / static_cast<double>(ipe_[d]);
-    }
-    controller_ = std::make_unique<ctrl::AdaptiveController>(
-        config_.adaptive, std::move(step_time), strategy_.round_window,
-        strategy_.local_steps, config_.sync_chunks, config_.compression,
-        config_.top_k_ratio);
-    plan_ = &controller_->plan();
-  }
+  planner_->negotiate(std::move(epoch_times));
 }
 
 void FleetEngine::full_sync_after_negotiation() {
@@ -538,7 +452,8 @@ void FleetEngine::full_sync_after_negotiation() {
   if (reachable.size() <= 1) return;
   const std::vector<float> mean = mean_state(reachable);
   try {
-    comm::simulate_ring_allreduce(transport_, reachable, wire_bytes_);
+    comm::simulate_ring_allreduce(transport_, reachable,
+                                  planner_->wire_bytes());
     const SlabId shared = store_->create(mean);
     for (const sim::DeviceId d : reachable) {
       store_->retain(shared);
@@ -551,74 +466,41 @@ void FleetEngine::full_sync_after_negotiation() {
   }
 }
 
-void FleetEngine::record_point(const std::vector<float>& eval_state) {
-  nn::load_state(*reference_, eval_state);
-  const fl::EvalResult eval = fl::evaluate(*reference_, ctx_.test);
-  double loss_sum = 0.0;
-  double loss_weight = 0.0;
-  // Exact mode: every device with executed > 0 trained, so this is the
-  // executed-weighted sum over all devices (executed == 0 contributes
-  // nothing). Cohort mode: untrained devices carry stale losses, so only
-  // the trained cohort enters the point.
-  for (std::size_t d = 0; d < k_; ++d) {
-    if (trained_this_round_[d] == 0) continue;
-    loss_sum += last_loss_[d] * static_cast<double>(last_executed_[d]);
-    loss_weight += static_cast<double>(last_executed_[d]);
-  }
-  result_.scheme.metrics.add(fl::ConvergencePoint{
-      epochs_done_, cluster_.max_time(),
-      loss_weight > 0.0 ? loss_sum / loss_weight : 0.0, eval.loss,
-      eval.accuracy});
-}
-
-bool FleetEngine::aggregate_group(
-    const std::vector<sim::DeviceId>& candidates,
-    const std::vector<double>& predicted,
-    std::vector<sim::DeviceId>& selected_this_round,
-    std::vector<float>& eval_state) {
+void FleetEngine::aggregate_group(
+    const std::vector<sim::DeviceId>& candidates) {
+  RoundPlanner& planner = *planner_;
   const double sel_start = span_now();
   std::vector<sim::DeviceId> ring;
-  std::vector<TrainJob> jobs;  // cohort mode only — exact trains up front
+  std::vector<sim::DeviceId> to_train;  // cohort mode only — exact trained
   if (exact_mode() || candidates.size() <= fleet_.cohort) {
-    RingPlan plan =
-        plan_ring(*policy_, candidates, predicted, compute_powers_,
-                  bandwidth_scales_, config_.strategy.select_count, rng_);
-    ring = std::move(plan.ring);
-    if (!exact_mode()) {
-      // Saturated group: the cohort covers every candidate, so the group
-      // degrades to the exact per-group plan — the policy's own draws pick
-      // the ring and every candidate with a step budget trains.
-      for (const sim::DeviceId d : candidates) {
-        if (last_executed_[d] == 0) continue;
-        jobs.push_back(make_job(d, last_executed_[d]));
-      }
-    }
+    ring = planner.select_ring(candidates);
+    // Saturated group: the cohort covers every candidate, so the group
+    // degrades to the exact per-group plan — the policy's own draws pick
+    // the ring and every candidate with a step budget trains.
+    if (!exact_mode()) to_train = candidates;
   } else {
     // One fresh seed per selection keeps the counter-keyed E–S draw stream
-    // range- and thread-invariant while still advancing the engine RNG
+    // range- and thread-invariant while still advancing the planner's RNG
     // exactly once per group selection.
-    const std::uint64_t draw_seed = rng_();
+    const std::uint64_t draw_seed = planner.draw_seed();
     const FleetSelection sel = select_fleet_cohort(
-        predicted, candidates, config_.strategy.select_count,
+        planner.predicted(), candidates, config_.strategy.select_count,
         fleet_.cohort - std::min(fleet_.cohort,
                                  config_.strategy.select_count),
         fleet_.selection_buckets, draw_seed, objective_, threads_);
-    ring = StrategyGenerator::make_ring(sel.cohort, rng_);
+    ring = planner.ring_over(sel.cohort);
     // Only now does any SGD happen: ring members + shadow runners-up train
     // their analytic step budgets; everyone else is already fully priced.
-    std::vector<sim::DeviceId> to_train = ring;
+    to_train = ring;
     to_train.insert(to_train.end(), sel.shadow.begin(), sel.shadow.end());
-    jobs.reserve(to_train.size());
-    for (const sim::DeviceId d : to_train) {
-      if (last_executed_[d] == 0) continue;
-      jobs.push_back(make_job(d, last_executed_[d]));
-    }
+  }
+  std::vector<TrainJob> jobs;
+  jobs.reserve(to_train.size());
+  for (const sim::DeviceId d : to_train) {
+    if (last_executed_[d] != 0) jobs.push_back(make_job(d, last_executed_[d]));
   }
   span(sel_start, obs::SpanKind::kSync, "select");
-  if (!jobs.empty()) {
-    run_jobs(jobs, ctx_.config.learning_rate);
-    for (const TrainJob& job : jobs) last_loss_[job.id] = job.loss;
-  }
+  run_jobs(jobs, ctx_.config.learning_rate);
   const double fold_start = span_now();
 
   // Fault-tolerant gossip aggregation (§III-D). A device can die *between*
@@ -626,11 +508,12 @@ bool FleetEngine::aggregate_group(
   // the CommError then triggers another repair pass, exactly like the
   // timeout would in a real deployment.
   std::vector<float> aggregate;
-  bool delta_round = false;
-  for (int attempt = 0; attempt < 4 && !ring.empty(); ++attempt) {
+  SyncPlan sync;
+  for (int attempt = 0;
+       attempt < RoundPlanner::kMaxSyncAttempts && !ring.empty(); ++attempt) {
     const comm::RingRepairResult repair =
         comm::repair_ring(transport_, ring, config_.repair);
-    result_.extras.ring_repairs += repair.repairs;
+    planner.observe_repairs(repair.repairs);
     if (config_.trace != nullptr) {
       // Same vocabulary as the rt backend: each bypass shows as a kRepair
       // span covering the §III-D wait + handshake window, drawn on the
@@ -645,8 +528,9 @@ bool FleetEngine::aggregate_group(
     }
     ring = repair.ring;
     if (ring.empty()) break;
+    sync = planner.plan_sync(ring);
     try {
-      delta_round = sync_ring(ring, aggregate);
+      sync_ring(ring, sync, aggregate);
       break;
     } catch (const CommError&) {
       HADFL_WARN("partial sync hit a mid-collective fault; repairing");
@@ -660,17 +544,12 @@ bool FleetEngine::aggregate_group(
   }
   if (ring.empty() || aggregate.empty()) {
     span(fold_start, obs::SpanKind::kBroadcast, "fold");
-    return false;
+    return;
   }
-  selected_this_round.insert(selected_this_round.end(), ring.begin(),
-                             ring.end());
-
-  double version_mean = 0.0;
-  for (const sim::DeviceId id : ring) version_mean += version_[id];
-  version_mean /= static_cast<double>(ring.size());
 
   // Every ring member's state AND last-sync reference become the aggregate's
   // bits, so all of them share one slab.
+  const double version_mean = planner.commit_sync(ring, version_);
   const SlabId agg_slab = store_->create(aggregate);
   for (const sim::DeviceId id : ring) {
     store_->retain(agg_slab);
@@ -680,14 +559,13 @@ bool FleetEngine::aggregate_group(
     version_[id] = version_mean;
   }
   store_->release(agg_slab);
-  const std::int64_t base_epoch = delta_round ? ref_epoch_[ring.front()] : 0;
   const std::int64_t sync_id = ++sync_epoch_;
-  if (!ref_epoch_.empty()) {
+  planner.observe_ref_epochs(ring, sync_id);
+  if (!feedback_.empty()) {
     for (const sim::DeviceId id : ring) {
-      ref_epoch_[id] = sync_id;
       // A delta round's encode error becomes the committed residual; a raw
       // round transmitted the exact state, so residual memory resets.
-      if (delta_round) {
+      if (sync.delta) {
         feedback_[id].commit();
       } else {
         feedback_[id].clear();
@@ -695,87 +573,65 @@ bool FleetEngine::aggregate_group(
     }
   }
 
-  // Non-blocking broadcast to the unselected members, in candidate order.
-  // After a delta round, receivers still holding its base reference take
-  // the codec-encoded fold (the rt backend re-ships the phase-2 encodings
-  // verbatim); every other receiver gets the exact dense aggregate, which
-  // realigns a stale one. Codec sizes are data-independent, so both legs
-  // are priced by formula. Either way a receiver reconstructs the
-  // aggregate bit-exactly, integrates it with the same mix, and joins the
-  // new reference epoch; its error-feedback residual is untouched.
+  // Non-blocking broadcast to the unselected members, one leg per planned
+  // receiver class, priced by the codec's data-independent formula. Either
+  // way a receiver rebuilds the aggregate bit-exactly, integrates it with
+  // the same mix and joins the new reference epoch; its error-feedback
+  // residual is untouched.
   std::vector<sim::DeviceId> others =
       filter_ids(candidates, [&](sim::DeviceId id) {
         return std::find(ring.begin(), ring.end(), id) == ring.end();
       });
   if (!others.empty()) {
-    const sim::DeviceId src = ring[static_cast<std::size_t>(rng_.uniform_int(
-        0, static_cast<std::int64_t>(ring.size()) - 1))];
-    const sim::SimTime bc_start = cluster_.time(src);
+    const BroadcastPlan bc =
+        planner.plan_broadcast(ring, std::move(others), sync);
+    const sim::SimTime bc_start = cluster_.time(bc.source);
     std::vector<sim::DeviceId> delivered;
     const auto push = [&](const std::vector<sim::DeviceId>& to,
                           std::size_t bytes) {
-      comm::BroadcastResult bc =
-          comm::broadcast_nonblocking(transport_, src, to, bytes, threads_);
+      if (to.empty()) return;
+      comm::BroadcastResult sent = comm::broadcast_nonblocking(
+          transport_, bc.source, to, bytes, threads_);
       if (delivered.empty()) {
-        delivered = std::move(bc.delivered);
+        delivered = std::move(sent.delivered);
       } else {
-        delivered.insert(delivered.end(), bc.delivered.begin(),
-                         bc.delivered.end());
+        delivered.insert(delivered.end(), sent.delivered.begin(),
+                         sent.delivered.end());
       }
     };
-    if (delta_round) {
-      const auto stale = std::stable_partition(
-          others.begin(), others.end(),
-          [&](sim::DeviceId id) { return ref_epoch_[id] == base_epoch; });
-      const std::vector<sim::DeviceId> fresh(others.begin(), stale);
-      others.erase(others.begin(), stale);
-      if (!fresh.empty()) push(fresh, delta_wire_bytes());
-    }
-    if (!others.empty()) push(others, wire_bytes_);
+    push(bc.aligned, planner.delta_wire_bytes());
+    push(bc.stale, planner.wire_bytes());
     if (config_.trace != nullptr) {
       for (const sim::DeviceId id : delivered) {
         config_.trace->record(id, bc_start, cluster_.time(id),
                               obs::SpanKind::kBroadcast, "broadcast");
       }
     }
-    if (!ref_epoch_.empty()) {
-      for (const sim::DeviceId id : delivered) ref_epoch_[id] = sync_id;
-    }
+    planner.observe_ref_epochs(delivered, sync_id);
     broadcast_integrate(delivered, aggregate, version_mean);
   }
 
-  if (eval_state.empty()) {
-    eval_state = aggregate;
-  } else {
-    nn::mix_into(eval_state, aggregate, 0.5);
-  }
+  planner.merge_group_aggregate(std::move(aggregate));
   span(fold_start, obs::SpanKind::kBroadcast, "fold");
-  return true;
 }
 
-bool FleetEngine::sync_ring(const std::vector<sim::DeviceId>& ring,
+void FleetEngine::sync_ring(const std::vector<sim::DeviceId>& ring,
+                            const SyncPlan& sync,
                             std::vector<float>& aggregate) {
-  // Members whose references agree exchange codec-encoded deltas against
-  // that shared reference (comm/delta_codec.hpp) and fold exactly what the
-  // wire delivers. A stale member (it missed a broadcast), or the round
-  // after the controller switched codecs, forces a raw exact round, which
-  // realigns everyone. The fold is the ring-order double-precision
-  // accumulation the rt pipelined collective computes chunk by chunk, so
-  // both land on identical bits.
-  const comm::SyncCodec codec = plan_->codec;
-  const double ratio = plan_->topk_ratio;
+  // A delta round exchanges codec-encoded deltas against the members'
+  // shared reference (comm/delta_codec.hpp) and folds exactly what the wire
+  // delivers; otherwise the members' exact states fold. The fold is the
+  // ring-order double-precision accumulation the rt pipelined collective
+  // computes chunk by chunk, so both land on identical bits.
+  const ctrl::RoundPlan& plan = planner_->plan();
+  const comm::SyncCodec codec = plan.codec;
+  const double ratio = plan.topk_ratio;
   const std::size_t n = state_floats_;
-  const std::size_t chunks = comm::resolve_chunk_count(plan_->sync_chunks, n);
-  bool delta = codec != SyncCompression::kNone && !plan_->force_raw;
-  for (const sim::DeviceId id : ring) {
-    delta = delta && ref_epoch_[id] == ref_epoch_[ring.front()];
-  }
-  const std::vector<double> weights =
-      ring_weights(ctx_.partition, ring, config_.weight_by_samples);
+  const std::size_t chunks = comm::resolve_chunk_count(plan.sync_chunks, n);
   ring_fold_.reset(n);
   for (std::size_t m = 0; m < ring.size(); ++m) {
-    if (!delta) {
-      ring_fold_.add(0, state_of(ring[m]), weights[m]);
+    if (!sync.delta) {
+      ring_fold_.add(0, state_of(ring[m]), sync.weights[m]);
       continue;
     }
     // u_m = x_m - r + e_m passes through the codec chunk by chunk; the
@@ -794,28 +650,20 @@ bool FleetEngine::sync_ring(const std::vector<sim::DeviceId>& ring,
           std::span<float>(feedback.staged).subspan(b, e - b),
           codec_payload_);
     }
-    ring_fold_.add(0, sync_scratch_, weights[m]);
+    ring_fold_.add(0, sync_scratch_, sync.weights[m]);
   }
-  const std::size_t wire = delta ? delta_wire_bytes() : wire_bytes_;
+  const std::size_t wire =
+      sync.delta ? planner_->delta_wire_bytes() : planner_->wire_bytes();
   sim::SimTime sync_start = 0.0;  // when the slowest member arrives
   for (const sim::DeviceId id : ring) {
     sync_start = std::max(sync_start, cluster_.time(id));
   }
   const sim::SimTime sync_done =
       comm::simulate_ring_allreduce(transport_, ring, wire);
-  if (controller_) {
-    controller_->observe_sync(sync_done - sync_start, wire);
-    bool any_slow = false;
-    for (const sim::DeviceId id : ring) {
-      any_slow = any_slow || bandwidth_scales_[id] <
-                                 config_.adaptive.slow_link_threshold;
-    }
-    controller_->observe_slow_link(any_slow);
-  }
-  // Eq. 2 objective when weight_by_samples, else plain Eq. 5.
+  planner_->observe_sync(ring, sync_done - sync_start);
   aggregate.resize(n);
   ring_fold_.write(0, aggregate);
-  if (delta) {
+  if (sync.delta) {
     // Phase-2 mirror: the folded delta circulates encoded, so everyone
     // commits reference + decode(encode(fold)).
     for (std::size_t c = 0; c < chunks; ++c) {
@@ -834,7 +682,6 @@ bool FleetEngine::sync_ring(const std::vector<sim::DeviceId>& ring,
                             "partial sync");
     }
   }
-  return delta;
 }
 
 void FleetEngine::broadcast_integrate(
@@ -908,22 +755,13 @@ void FleetEngine::broadcast_integrate(
   });
 }
 
-void FleetEngine::inter_group_sync(const DeviceGroups& groups,
-                                   const LivenessMonitor& liveness,
-                                   std::vector<float>& eval_state) {
-  std::vector<sim::DeviceId> leaders;
-  for (const auto& group : groups) {
-    for (const sim::DeviceId id : group) {
-      if (liveness.is_available(id)) {
-        leaders.push_back(id);
-        break;
-      }
-    }
-  }
-  if (leaders.size() <= 1) return;
-  const std::vector<float> global = mean_state(leaders);
+void FleetEngine::inter_group_sync(const std::vector<sim::DeviceId>& leaders,
+                                   const LivenessMonitor& liveness) {
+  const DeviceGroups& groups = planner_->groups();
+  const std::size_t wire_bytes = planner_->wire_bytes();
+  std::vector<float> global = mean_state(leaders);
   try {
-    comm::simulate_ring_allreduce(transport_, leaders, wire_bytes_);
+    comm::simulate_ring_allreduce(transport_, leaders, wire_bytes);
   } catch (const CommError&) {
     HADFL_WARN("inter-group sync skipped: leader unreachable");
     return;
@@ -938,7 +776,7 @@ void FleetEngine::inter_group_sync(const DeviceGroups& groups,
     for (const sim::DeviceId id : groups[g]) {
       if (!liveness.is_available(id)) continue;
       if (id == leaders[g]) continue;
-      transport_.account(leaders[g], id, wire_bytes_);
+      transport_.account(leaders[g], id, wire_bytes);
       classes[state_slab_[id]].push_back(id);
     }
     for (const auto& [slab, members] : classes) {
@@ -956,19 +794,12 @@ void FleetEngine::inter_group_sync(const DeviceGroups& groups,
     rebind_state(leaders[g], global_slab);
   }
   store_->release(global_slab);
-  eval_state = global;
+  planner_->merge_inter_group(std::move(global));
 }
 
 FleetResult FleetEngine::run() {
   HADFL_CHECK_ARG(ctx_.partition.size() == k_,
                   "partition count != device count");
-  HADFL_CHECK_ARG(config_.alpha > 0.0 && config_.alpha < 1.0,
-                  "alpha must be in (0, 1)");
-  HADFL_CHECK_ARG(config_.broadcast_mix_weight >= 0.0 &&
-                      config_.broadcast_mix_weight <= 1.0,
-                  "broadcast mix weight must be in [0, 1]");
-  policy_ = config_.policy;
-  if (!policy_) policy_ = std::make_shared<GaussianQuartileSelection>();
   if (!exact_mode()) {
     // Untrained cohort devices hold no private state between rounds, so
     // there are no per-device residuals or measured step times to keep.
@@ -983,14 +814,17 @@ FleetResult FleetEngine::run() {
                     "fleet cohort " << fleet_.cohort
                                     << " smaller than select_count "
                                     << config_.strategy.select_count);
-    if (policy_->name() == "gaussian-quartile") {
+    const std::string policy = config_.policy
+                                   ? config_.policy->name()
+                                   : GaussianQuartileSelection().name();
+    if (policy == "gaussian-quartile") {
       objective_ = FleetObjective::kGaussianQuartile;
-    } else if (policy_->name() == "top-k") {
+    } else if (policy == "top-k") {
       objective_ = FleetObjective::kTopVersion;
     } else {
       HADFL_CHECK_ARG(false,
                       "sampled-cohort mode supports the gaussian-quartile "
-                      "and top-k policies; got " << policy_->name());
+                      "and top-k policies; got " << policy);
     }
   }
   threads_ = fleet_.scalar_threads == 0 ? default_compute_threads()
@@ -1000,16 +834,15 @@ FleetResult FleetEngine::run() {
   cluster_.reset_clocks();
   result_.scheme.scheme_name = "hadfl-fleet";
   result_.stats.devices = k_;
-  static_plan_.codec = config_.compression;
-  static_plan_.topk_ratio = config_.top_k_ratio;
-  static_plan_.sync_chunks = config_.sync_chunks;
+  Rng rng(ctx_.config.seed);
+  init_fleet(rng);
+  planner_.emplace(ctx_, config_, *reference_, ipe_, std::move(rng), threads_,
+                   fleet_.max_rounds, fleet_.extras_device_cap);
+  RoundPlanner& planner = *planner_;
   if (config_.compression != SyncCompression::kNone ||
       config_.adaptive.enabled) {
     feedback_.resize(k_);
-    ref_epoch_.assign(k_, 0);  // 0 = the initial dispatch, shared by all
   }
-
-  init_fleet();
   build_slots(default_compute_threads());
   velocity_floats_ = slots_[0].optimizer->velocity_size();
   if (ctx_.config.momentum != 0.0 && velocity_floats_ > 0) {
@@ -1030,65 +863,39 @@ FleetResult FleetEngine::run() {
       2 * k_ * state_floats_ * sizeof(float) +  // model + last-sync, per dev
       (vstore_ ? k_ * velocity_floats_ * sizeof(float) : 0);
 
-  // make_groups is deterministic (compute-power sort, no RNG), so hoisting
-  // it ahead of warm-up changes nothing downstream; warm-up needs the
-  // group count to size its per-group cohort sample.
-  const DeviceGroups groups = make_groups(cluster_, config_.grouping);
-  warm_up(groups.size());
+  warm_up(planner.groups().size());
   if (config_.full_sync_after_negotiation) full_sync_after_negotiation();
 
   LivenessMonitor liveness(cluster_);
-  RuntimeSupervisor supervisor(k_, config_.alpha);
-  supervisor.set_threads(threads_);
-  ModelManager model_manager(config_.backup_dir, config_.backup_every_rounds);
-
-  {
+  const auto fleet_mean = [&] {
     std::vector<sim::DeviceId> all(k_);
     for (std::size_t d = 0; d < k_; ++d) all[d] = d;
-    const std::vector<float> mean = mean_state(all);
-    nn::load_state(*reference_, mean);
-    const fl::EvalResult eval = fl::evaluate(*reference_, ctx_.test);
-    double loss_sum = 0.0;
-    for (std::size_t d = 0; d < k_; ++d) loss_sum += last_loss_[d];
-    result_.scheme.metrics.add(fl::ConvergencePoint{
-        epochs_done_, cluster_.max_time(),
-        loss_sum / static_cast<double>(k_), eval.loss, eval.accuracy});
-  }
+    return mean_state(all);
+  };
+  planner.record_start(fleet_mean(), cluster_.max_time());
 
-  const double total_train = static_cast<double>(ctx_.train.size());
-  std::size_t round = 0;
-  while (epochs_done_ < static_cast<double>(ctx_.config.total_epochs) &&
-         (fleet_.max_rounds == 0 || round < fleet_.max_rounds)) {
-    ++round;
-    std::fill(trained_this_round_.begin(), trained_this_round_.end(),
-              std::uint8_t{0});
-    // Per-round knobs: the controller's plan when adaptive mode is on, the
-    // static configuration otherwise (the controller's initial plan holds
-    // these same values, so warm-up rounds match the static run too).
-    const std::vector<std::size_t>& budgets =
-        controller_ ? plan_->local_steps : strategy_.local_steps;
-    const sim::SimTime window = strategy_.round_window;
+  while (planner.begin_round()) {
+    const std::size_t round = planner.round();
+    const sim::SimTime window = planner.window();
     const sim::SimTime t0 = cluster_.max_time();
     // Injected speed drift (sim/fault.hpp) scales step times; without
     // scheduled drift the walk skips the lookup.
     const bool drifting = cluster_.faults().has_drift();
     // The controller and the trace observe each device's burst in turn,
     // so with either attached the walk runs serially.
-    const bool observed = controller_ || config_.trace != nullptr;
+    const bool observed = planner.adaptive() || config_.trace != nullptr;
     const std::string label =
         config_.trace != nullptr ? "round " + std::to_string(round) : "";
 
     // Fused O(K) round walk over the fixed range grid: align to t0,
-    // availability, jitter draw, deadline-truncated step budget (analytic:
-    // what fits the window given the device's iteration time and this
-    // burst's jitter and drift), burst + window advancement, version bump.
-    // A disturbed device executes fewer steps by the window boundary; its
-    // parameter version falls behind, which the supervisor and selection
-    // then react to. Every device touches only its own clock slot and
-    // jitter stream, so ranges run unsynced; the partials — integer-valued
-    // executed sums, clock maxima, trained-id lists — are order-independent
-    // or merge in range order, keeping every thread count bit-identical to
-    // the serial walk.
+    // availability, jitter draw, the planner's deadline truncation at this
+    // burst's jittered and drifted step time, burst + window advancement,
+    // version bump (a disturbed device falls behind, which the forecast
+    // and selection then react to). Every device touches only its own
+    // clock slot and jitter stream, so ranges run unsynced; the partials —
+    // integer-valued executed sums, clock maxima, trained-id lists — are
+    // order-independent or merge in range order, keeping every thread count
+    // bit-identical to the serial walk.
     // In exact mode the SGD for every budget runs below (via jobs); in
     // cohort mode the budgets stand on their own and only each group's
     // cohort SGD runs later.
@@ -1114,15 +921,13 @@ FleetResult FleetEngine::run() {
         const double jitter = cluster_.sample_jitter_factor(d);
         double iter_time = cluster_.iteration_time(d) * jitter;
         if (drifting) iter_time *= cluster_.faults().drift_multiplier(d, round);
-        const auto fit = static_cast<std::size_t>(
-            std::max(0.0, std::floor(window / iter_time + 1e-9)));
-        const std::size_t executed = std::min(budgets[d], fit);
+        const std::size_t executed = planner.steps_in_window(d, iter_time);
         last_executed_[d] = executed;
         if (train_all && executed > 0) train.push_back(d);
         cluster_.advance_unsynced(d,
                                   iter_time * static_cast<double>(executed));
         if (observed && executed > 0) {
-          if (controller_) controller_->observe_step_time(d, iter_time);
+          if (planner.adaptive()) planner.observe_step_time(d, iter_time);
           if (config_.trace != nullptr) {
             config_.trace->record(d, t0, cluster_.time(d),
                                   obs::SpanKind::kCompute, label);
@@ -1146,97 +951,42 @@ FleetResult FleetEngine::run() {
         jobs.push_back(make_job(d, last_executed_[d]));
       }
     }
+    planner.observe_steps(executed_total);
     span(clock_start, obs::SpanKind::kIdle, "clock");
     run_jobs(jobs, ctx_.config.learning_rate);
-    for (const TrainJob& job : jobs) last_loss_[job.id] = job.loss;
 
     const double select_start = span_now();
-    std::vector<double> fallback(k_);
-    for_ranges(k_, [&](std::size_t, std::size_t begin, std::size_t end) {
-      for (std::size_t d = begin; d < end; ++d) {
-        fallback[d] =
-            static_cast<double>(round) * strategy_.expected_versions[d];
-      }
-    });
-    std::vector<double> predicted;
-    switch (config_.predictor) {  // inline predict_versions: the kLastValue
-      case PredictorMode::kDes:   // history lives here full-size, while the
-        predicted = supervisor.predict(fallback);  // extras copy is capped
-        break;
-      case PredictorMode::kStatic:
-        predicted = fallback;
-        break;
-      case PredictorMode::kLastValue:
-        predicted = prev_actual_.empty() ? fallback : prev_actual_;
-        break;
-    }
-
-    supervisor.observe_round(version_);
-    prev_actual_ = version_;
-    result_.extras.actual_versions.push_back(
-        capped_copy(version_, fleet_.extras_device_cap));
-    result_.extras.predicted_versions.push_back(
-        capped_copy(predicted, fleet_.extras_device_cap));
+    planner.forecast(version_);
     span(select_start, obs::SpanKind::kSync, "select");
 
-    std::vector<float> eval_state;
-    std::vector<sim::DeviceId> selected_this_round;
-    for (const auto& group : groups) {
+    for (const auto& group : planner.groups()) {
       const std::vector<sim::DeviceId> candidates =
           filter_ids(group, [&](sim::DeviceId d) {
             return available_at_start[d] != 0;
           });
       if (candidates.empty()) continue;
-      aggregate_group(candidates, predicted, selected_this_round,
-                      eval_state);
+      aggregate_group(candidates);
     }
+    const std::vector<sim::DeviceId> leaders = planner.inter_group_leaders(
+        [&](sim::DeviceId id) { return liveness.is_available(id); });
+    if (!leaders.empty()) inter_group_sync(leaders, liveness);
 
-    if (groups.size() > 1 &&
-        round % static_cast<std::size_t>(
-                    std::max(1, config_.grouping.inter_group_period)) ==
-            0) {
-      inter_group_sync(groups, liveness, eval_state);
-    }
-
-    result_.extras.selected.push_back(selected_this_round);
-    epochs_done_ += executed_total *
-                    static_cast<double>(ctx_.config.device_batch_size) /
-                    total_train;
-
-    if (eval_state.empty()) {
-      std::vector<sim::DeviceId> avail = liveness.available();
-      if (avail.empty()) {
-        avail.resize(k_);
-        for (std::size_t d = 0; d < k_; ++d) avail[d] = d;
-      }
-      eval_state = mean_state(avail);
-    }
-    record_point(eval_state);
-    if (controller_) {
-      controller_->observe_eval_state(eval_state);
-      controller_->end_round();
-    }
-    model_manager.update(eval_state, round);
-    ++result_.scheme.sync_rounds;
+    planner.end_round(cluster_.max_time(), [&] {
+      const std::vector<sim::DeviceId> avail = liveness.available();
+      return avail.empty() ? fleet_mean() : mean_state(avail);
+    });
   }
 
-  result_.stats.rounds = round;
+  result_.stats.rounds = planner.round();
   result_.stats.peak_state_slabs = store_->peak_slabs();
   result_.stats.peak_state_bytes = store_->peak_bytes();
   if (vstore_) {
     result_.stats.peak_velocity_slabs = vstore_->peak_slabs();
     result_.stats.peak_velocity_bytes = vstore_->peak_bytes();
   }
+  planner.finish(result_.scheme, result_.extras, fleet_mean);
   result_.stats.ring_repairs = result_.extras.ring_repairs;
-  result_.extras.model_backups = model_manager.backups_written();
   result_.scheme.volume = transport_.volume();
-  if (model_manager.has_model()) {
-    result_.scheme.final_state = model_manager.latest();
-  } else {
-    std::vector<sim::DeviceId> all(k_);
-    for (std::size_t d = 0; d < k_; ++d) all[d] = d;
-    result_.scheme.final_state = mean_state(all);
-  }
   result_.scheme.total_time = cluster_.max_time();
   return std::move(result_);
 }

@@ -1,5 +1,8 @@
 // The HADFL simulator: one process, 4 to 10^6 devices.
 //
+// Every decision comes from core::RoundPlanner, as in the rt coordinator;
+// the engine carries them out and reports what its devices did.
+//
 // The engine keeps no per-device model objects. Per-device model state is
 // deduplicated through a copy-on-write slab store (nn/cow_store.hpp): a
 // device handle is two slab ids (model state + last-sync reference),
@@ -50,8 +53,8 @@
 //    (cohort - select_count) shadow runners-up (core/fleet_selection.hpp);
 //    group rings aggregate and inter-group sync composes them exactly as
 //    the exact path does. A group whose candidate set fits inside the
-//    cohort degrades to the exact per-group plan (everyone trains,
-//    plan_ring draws). Every unselected device is priced analytically:
+//    cohort degrades to the exact per-group plan (everyone trains, the
+//    planner's selection draws). Every unselected device is priced analytically:
 //    executed steps, parameter versions, virtual clocks, selection
 //    dynamics and wire volume are computed exactly (they depend only on
 //    the strategy, jitter and drift draws and the fault plan, not on model
@@ -59,14 +62,15 @@
 //    (their slabs move through shared broadcast integration, not private
 //    SGD) — the `fleet_scale --drift` bench quantifies that deviation
 //    against cohort size. Warm-up trains a min(cohort × groups, K)
-//    id-prefix sample and reuses its mean loss. Documented approximations:
+//    id-prefix sample. Documented approximations:
 //    bucketed quartiles and counter-keyed Efraimidis–Soules sampling
 //    replace the exact selection draw stream; means over device sets are
 //    folded per slab class (count-weighted, ordered by first member)
 //    rather than per device; train-loss points cover the trained cohort
-//    only. Supports the gaussian-quartile (Eq. 8) and top-k selection
-//    policies through the same bucketed top-N machinery. The trace and
-//    speed drift work as in exact mode, since both are analytic; a
+//    only (the first point: the warm-up sample). Supports the
+//    gaussian-quartile (Eq. 8) and top-k selection policies through the
+//    same bucketed top-N machinery. The trace and speed drift work as
+//    in exact mode, since both are analytic; a
 //    compressed sync codec and adaptive mode throw InvalidArgument, since
 //    untrained devices keep no residuals or measured step times.
 //

@@ -29,7 +29,6 @@ DeviceSetup init_devices(const fl::SchemeContext& ctx,
 
   setup.devices.resize(k);
   setup.iters_per_epoch.resize(k);
-  setup.compute_powers.resize(k);
   for (std::size_t d = 0; d < k; ++d) {
     Rng dev_rng = rng.split();
     // Model and batch streams are independent *splits* of the device stream
@@ -52,7 +51,6 @@ DeviceSetup init_devices(const fl::SchemeContext& ctx,
     dev.last_sync_state = setup.init_state;
     setup.iters_per_epoch[d] = fl::iters_per_epoch(
         ctx.partition[d].size(), ctx.config.device_batch_size);
-    setup.compute_powers[d] = ctx.cluster.compute_power(d);
   }
   return setup;
 }
@@ -77,63 +75,6 @@ std::vector<float> mean_state_of(std::vector<DeviceState>& devices,
     acc.accumulate(nn::state_view(*devices[id].model), w);
   }
   return acc.materialize();
-}
-
-std::vector<double> predict_versions(
-    PredictorMode mode, const RuntimeSupervisor& supervisor,
-    const std::vector<double>& fallback,
-    const std::vector<std::vector<double>>& history) {
-  switch (mode) {
-    case PredictorMode::kDes:
-      return supervisor.predict(fallback);
-    case PredictorMode::kStatic:
-      return fallback;
-    case PredictorMode::kLastValue:
-      return history.empty() ? fallback : history.back();
-  }
-  return fallback;
-}
-
-RingPlan plan_ring(SelectionPolicy& policy,
-                   const std::vector<sim::DeviceId>& candidates,
-                   const std::vector<double>& predicted,
-                   const std::vector<double>& compute_powers,
-                   const std::vector<double>& bandwidth_scales,
-                   std::size_t select_count, Rng& rng) {
-  SelectionContext sel_ctx;
-  sel_ctx.select_count = std::min(select_count, candidates.size());
-  for (sim::DeviceId id : candidates) {
-    sel_ctx.versions.push_back(predicted[id]);
-    sel_ctx.compute_powers.push_back(compute_powers[id]);
-    sel_ctx.bandwidth_scales.push_back(bandwidth_scales[id]);
-  }
-  const std::vector<std::size_t> picks = policy.select(sel_ctx, rng);
-  RingPlan plan;
-  plan.selected.reserve(picks.size());
-  for (std::size_t p : picks) plan.selected.push_back(candidates[p]);
-  plan.ring = StrategyGenerator::make_ring(plan.selected, rng);
-  return plan;
-}
-
-std::vector<double> ring_weights(const data::Partition& partition,
-                                 const std::vector<sim::DeviceId>& ring,
-                                 bool weight_by_samples) {
-  HADFL_CHECK_ARG(!ring.empty(), "ring_weights of empty ring");
-  if (!weight_by_samples) {
-    return std::vector<double>(ring.size(),
-                               1.0 / static_cast<double>(ring.size()));
-  }
-  std::vector<double> weights;
-  weights.reserve(ring.size());
-  double total_samples = 0.0;
-  for (sim::DeviceId id : ring) {
-    total_samples += static_cast<double>(partition[id].size());
-  }
-  for (sim::DeviceId id : ring) {
-    weights.push_back(static_cast<double>(partition[id].size()) /
-                      total_samples);
-  }
-  return weights;
 }
 
 void WeightedRingFold::reset(std::size_t n) {

@@ -1,19 +1,11 @@
-// Backend-agnostic pieces of the HADFL round (paper Alg. 1 + §III).
-//
-// Two execution backends share this logic:
-//  * the virtual-clock simulator (core/fleet.cpp, comm::SimTransport) —
-//    deterministic evaluation on per-device Lamport clocks;
-//  * the real-time concurrent runtime (src/rt, and src/net over sockets) —
-//    one worker per device, message passing, wall-clock timing.
-//
-// Everything that decides *what* the algorithm computes lives here —
-// device-state initialization (including the exact RNG split sequence, so
-// both backends derive identical streams from one seed), version
-// prediction, probability-based selection + ring generation, and the ring
-// aggregation rule. Everything that decides *when/where* it executes
-// (clock advancement vs. real threads and transports) stays in the
-// backends. A seeded run with timing noise disabled therefore produces
-// bit-identical aggregates on both backends (tests/test_rt.cpp pins this).
+// What every HADFL backend shares when it carries out a round (paper
+// Alg. 1 + §III); the round's decisions live in core::RoundPlanner. Both
+// the virtual-clock simulator (core/fleet.cpp) and the real-time runtime
+// (src/rt, src/net) run this device-state initialization — including the
+// exact RNG split sequence, so both derive identical streams from one
+// seed — the codec's wire price, the evaluation mean and the ring
+// aggregation rule, so a seeded run with timing noise disabled produces
+// bit-identical aggregates on both (tests/test_rt.cpp pins this).
 #pragma once
 
 #include <memory>
@@ -61,7 +53,6 @@ struct DeviceState {
 struct DeviceSetup {
   std::vector<DeviceState> devices;
   std::vector<std::size_t> iters_per_epoch;  ///< per-device, from partition
-  std::vector<double> compute_powers;
   std::vector<float> init_state;             ///< the dispatched model state
   std::unique_ptr<nn::Sequential> reference; ///< coordinator-side eval model
   std::size_t wire_bytes = 0;                ///< per-exchange wire size
@@ -87,35 +78,6 @@ std::size_t effective_wire_bytes(std::size_t wire_bytes,
 /// the devices' arena views — no per-device state copies.
 std::vector<float> mean_state_of(std::vector<DeviceState>& devices,
                                  const std::vector<sim::DeviceId>& ids);
-
-/// The coordinator's version forecast for the coming selection (workflow
-/// step 4). `fallback` is the Eq. 6 static expectation for the round;
-/// `history` is the per-round actual-version record (kLastValue mode).
-std::vector<double> predict_versions(
-    PredictorMode mode, const RuntimeSupervisor& supervisor,
-    const std::vector<double>& fallback,
-    const std::vector<std::vector<double>>& history);
-
-/// Probability-based selection (Eq. 8 via the policy) plus the random
-/// directed ring over the picks. Draws from `rng` exactly as the simulator
-/// backend always has: one policy->select call, then make_ring.
-struct RingPlan {
-  std::vector<sim::DeviceId> selected;  ///< policy picks (candidate order)
-  std::vector<sim::DeviceId> ring;      ///< directed ring over the picks
-};
-RingPlan plan_ring(SelectionPolicy& policy,
-                   const std::vector<sim::DeviceId>& candidates,
-                   const std::vector<double>& predicted,
-                   const std::vector<double>& compute_powers,
-                   const std::vector<double>& bandwidth_scales,
-                   std::size_t select_count, Rng& rng);
-
-/// Aggregation weights for the ring members, in ring order: n_k-proportional
-/// (the Eq. 2 objective) when `weight_by_samples`, else uniform (plain
-/// Eq. 5 — numerically identical to nn::average).
-std::vector<double> ring_weights(const data::Partition& partition,
-                                 const std::vector<sim::DeviceId>& ring,
-                                 bool weight_by_samples);
 
 /// The canonical HADFL aggregation rule, in chunked form — THE definition
 /// both backends compute, which is what keeps seeded sim/rt runs

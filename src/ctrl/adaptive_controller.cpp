@@ -105,14 +105,12 @@ void AdaptiveController::observe_step_time(std::size_t device,
   step_time_[device] = (1.0 - a) * step_time_[device] + a * seconds_per_step;
 }
 
-void AdaptiveController::observe_sync(double latency_s,
-                                      std::size_t wire_bytes) {
+void AdaptiveController::observe_sync(double latency_s) {
   if (latency_s >= 0.0 && std::isfinite(latency_s)) {
     round_sync_latency_ = round_sync_latency_ < 0.0
                               ? latency_s
                               : std::max(round_sync_latency_, latency_s);
   }
-  wire_bytes_ += wire_bytes;
 }
 
 void AdaptiveController::observe_delta_norm(double relative_norm) {

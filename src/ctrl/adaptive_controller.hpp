@@ -3,7 +3,7 @@
 // HADFL's Alg. 1 derives the per-device step budgets E_k once from the
 // §III-B warm-up and never revisits them. This controller re-closes the
 // loop: every sync round it consumes the same measurements the metrics
-// registry records (per-device step durations, sync latency, wire bytes,
+// registry records (per-device step durations, sync latency,
 // round-over-round delta norms) and emits the next round's plan:
 //
 //   * E_k      — EWMA over measured per-device step durations replaces the
@@ -126,8 +126,8 @@ class AdaptiveController {
 
   /// Device d spent `seconds_per_step` per local step this round.
   void observe_step_time(std::size_t device, double seconds_per_step);
-  /// One sync completed with this latency and wire volume.
-  void observe_sync(double latency_s, std::size_t wire_bytes);
+  /// One sync completed with this latency.
+  void observe_sync(double latency_s);
   /// Relative round-over-round aggregate delta norm (‖x_t−x_{t−1}‖/‖x_{t−1}‖).
   void observe_delta_norm(double relative_norm);
   /// This round's evaluation state. From the second call on, feeds the
@@ -147,7 +147,6 @@ class AdaptiveController {
   double estimated_step_time(std::size_t device) const {
     return step_time_[device];
   }
-  std::size_t total_wire_bytes() const { return wire_bytes_; }
 
  private:
   comm::SyncCodec pick_codec() const;
@@ -165,7 +164,6 @@ class AdaptiveController {
   std::vector<float> prev_eval_;  ///< last observe_eval_state argument
   bool slow_link_ = false;
   double round_sync_latency_ = -1.0;
-  std::size_t wire_bytes_ = 0;
 
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::Counter* budget_updates_ = nullptr;

@@ -1,5 +1,6 @@
 // Model aggregation rules: FedAvg (paper Eq. 4). HADFL's partial
-// aggregation (Eq. 5) runs over the ring through core::ring_weights.
+// aggregation (Eq. 5) runs over the ring with the weights of
+// core::RoundPlanner::plan_sync.
 #pragma once
 
 #include <vector>

@@ -6,19 +6,22 @@ namespace hadfl::fl {
 
 LocalTrainStats run_local_steps(nn::Sequential& model, nn::Sgd& optimizer,
                                 data::BatchIterator& batches,
-                                std::size_t steps) {
+                                std::size_t steps, double loss_sum) {
   LocalTrainStats stats;
   nn::SoftmaxCrossEntropy loss_fn;
-  double loss_sum = 0.0;
+  double own_sum = 0.0;
   for (std::size_t s = 0; s < steps; ++s) {
     data::Batch batch = batches.next();
     const Tensor logits = model.forward(batch.x, /*training=*/true);
-    loss_sum += loss_fn.forward(logits, batch.y);
+    const double loss = loss_fn.forward(logits, batch.y);
+    own_sum += loss;
+    loss_sum += loss;
     model.backward(loss_fn.backward());
     optimizer.step_and_zero();
   }
   stats.steps = steps;
-  stats.mean_loss = steps > 0 ? loss_sum / static_cast<double>(steps) : 0.0;
+  stats.mean_loss = steps > 0 ? own_sum / static_cast<double>(steps) : 0.0;
+  stats.loss_sum = loss_sum;
   return stats;
 }
 

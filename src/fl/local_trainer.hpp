@@ -13,13 +13,15 @@ namespace hadfl::fl {
 
 struct LocalTrainStats {
   std::size_t steps = 0;
-  double mean_loss = 0.0;
+  double mean_loss = 0.0;  ///< mean training loss across this call's steps
+  double loss_sum = 0.0;   ///< the caller's running loss sum, continued
 };
 
-/// Runs `steps` local SGD iterations. Returns the mean training loss across
-/// the executed steps. Gradients are zeroed after each step.
+/// Runs `steps` local SGD iterations, zeroing gradients after each. Each
+/// step's loss is added to `loss_sum` in order, so a burst split into calls
+/// that pass the sum along ends with one call's sum, bit for bit.
 LocalTrainStats run_local_steps(nn::Sequential& model, nn::Sgd& optimizer,
                                 data::BatchIterator& batches,
-                                std::size_t steps);
+                                std::size_t steps, double loss_sum = 0.0);
 
 }  // namespace hadfl::fl

@@ -4,6 +4,8 @@
 // broadcast — plus the §III-A hierarchical mode: one selection ring per
 // group, and a periodic inter-group leader exchange (allgather + mean over
 // the group leaders, then a group-wide push of the global model).
+// Every decision comes from core::RoundPlanner, as in the simulator; the
+// coordinator carries them out and reports what the workers did.
 //
 // The orchestration is backend-agnostic: everything that differs between
 // the in-process thread runner and the multi-process socket runner is

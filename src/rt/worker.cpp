@@ -97,10 +97,9 @@ bool run_device_worker(WorkerEnv& env) {
         while (done < cmd->steps) {
           const std::size_t chunk =
               std::min(kTrainChunk, cmd->steps - done);
-          loss_sum += fl::run_local_steps(*dev.model, *dev.optimizer,
-                                          *dev.batches, chunk)
-                          .mean_loss *
-                      static_cast<double>(chunk);
+          loss_sum = fl::run_local_steps(*dev.model, *dev.optimizer,
+                                         *dev.batches, chunk, loss_sum)
+                         .loss_sum;
           done += chunk;
           throttle(chunk);
           io.beat();
@@ -152,10 +151,9 @@ bool run_device_worker(WorkerEnv& env) {
                                         executed);
           }
           if (chunk > 0) {
-            loss_sum += fl::run_local_steps(*dev.model, *dev.optimizer,
-                                            *dev.batches, chunk)
-                            .mean_loss *
-                        static_cast<double>(chunk);
+            loss_sum = fl::run_local_steps(*dev.model, *dev.optimizer,
+                                           *dev.batches, chunk, loss_sum)
+                           .loss_sum;
             executed += chunk;
             throttle(chunk);
           }

@@ -167,7 +167,7 @@ TEST(AdaptiveController, DisabledKnobsHoldTheSeededPlan) {
   for (int round = 0; round < 8; ++round) {
     controller.observe_step_time(0, 9.0);
     controller.observe_delta_norm(1.0);
-    controller.observe_sync(0.5, 1024);
+    controller.observe_sync(0.5);
     controller.end_round();
   }
   EXPECT_EQ(controller.plan().local_steps[0], 10u);

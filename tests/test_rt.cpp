@@ -666,28 +666,62 @@ TEST(RtRunner, RunsHadflOnRealThreads) {
   EXPECT_LT(r.pool_stats.misses, r.pool_stats.hits);
 }
 
-TEST(RtRunner, MatchesSimulatorBitExactlyWhenSeeded) {
-  // The headline equivalence: with timing noise disabled (no jitter, no
-  // faults, virtual timing), the rt backend draws the same selection/ring
-  // streams and computes bit-identical aggregates, so the final model
-  // states agree exactly.
-  exp::Scenario s = rt_scenario();
+/// Runs one seeded scenario on the simulator and on the rt backend and
+/// asserts that the round planner's whole output is equal: sync rounds,
+/// per-round selections, actual and predicted versions, negotiated epoch
+/// times, the strategy, ring repairs, every convergence point's epoch,
+/// train loss, test loss and accuracy, and the final state bit for bit.
+/// Point times are skipped: virtual on the sim, wall-clock on rt. `drift`
+/// is scheduled on the shared cluster, which both backends read per round.
+/// With timing noise disabled (no jitter, no faults, virtual timing) the
+/// backends draw the same selection/ring streams and fold the same floats;
+/// a codec's encode/decode round trips are deterministic float math shared
+/// through comm/delta_codec.hpp, so lossy codecs land on the same bits too.
+void expect_rt_matches_simulator(const exp::Scenario& s,
+                                 const std::vector<sim::DriftEvent>& drift =
+                                     {}) {
   exp::Environment env(s);
+  for (const sim::DriftEvent& event : drift) {
+    env.cluster().faults().schedule_drift(event);
+  }
   fl::SchemeContext sim_ctx = env.context();
   const core::HadflResult sim = core::run_hadfl(sim_ctx, s.hadfl);
   fl::SchemeContext rt_ctx = env.context();
   const RtResult rt = run_hadfl_rt(rt_ctx, fast_rt_config(s.hadfl));
 
   EXPECT_EQ(sim.scheme.sync_rounds, rt.scheme.sync_rounds);
-  ASSERT_EQ(sim.extras.selected.size(), rt.extras.selected.size());
-  for (std::size_t i = 0; i < sim.extras.selected.size(); ++i) {
-    EXPECT_EQ(sim.extras.selected[i], rt.extras.selected[i]) << "round " << i;
+  EXPECT_EQ(sim.extras.selected, rt.extras.selected);
+  EXPECT_EQ(sim.extras.actual_versions, rt.extras.actual_versions);
+  EXPECT_EQ(sim.extras.predicted_versions, rt.extras.predicted_versions);
+  EXPECT_EQ(sim.extras.negotiated_epoch_times,
+            rt.extras.negotiated_epoch_times);
+  EXPECT_EQ(sim.extras.strategy.local_steps, rt.extras.strategy.local_steps);
+  EXPECT_EQ(sim.extras.strategy.expected_versions,
+            rt.extras.strategy.expected_versions);
+  EXPECT_EQ(sim.extras.strategy.round_window, rt.extras.strategy.round_window);
+  EXPECT_EQ(sim.extras.ring_repairs, rt.extras.ring_repairs);
+  const auto& sim_points = sim.scheme.metrics.points();
+  const auto& rt_points = rt.scheme.metrics.points();
+  ASSERT_EQ(sim_points.size(), rt_points.size());
+  for (std::size_t i = 0; i < sim_points.size(); ++i) {
+    EXPECT_EQ(sim_points[i].epoch, rt_points[i].epoch) << "point " << i;
+    EXPECT_EQ(sim_points[i].train_loss, rt_points[i].train_loss)
+        << "point " << i;
+    EXPECT_EQ(sim_points[i].test_loss, rt_points[i].test_loss)
+        << "point " << i;
+    EXPECT_EQ(sim_points[i].test_accuracy, rt_points[i].test_accuracy)
+        << "point " << i;
   }
   ASSERT_EQ(sim.scheme.final_state.size(), rt.scheme.final_state.size());
   for (std::size_t i = 0; i < sim.scheme.final_state.size(); ++i) {
     ASSERT_EQ(sim.scheme.final_state[i], rt.scheme.final_state[i])
         << "parameter " << i;
   }
+}
+
+TEST(RtRunner, MatchesSimulatorBitExactlyWhenSeeded) {
+  // The headline equivalence, on the plain scenario with momentum.
+  expect_rt_matches_simulator(rt_scenario());
 }
 
 TEST(RtRunner, TelemetryDoesNotPerturbSeededResults) {
@@ -962,51 +996,91 @@ TEST(RtRunner, ChunkCountDoesNotChangeTheAggregate) {
   }
 }
 
-/// Runs the same seeded scenario on the sim and rt backends with the given
-/// codec and asserts bit-identical final states — the compressed analogue
-/// of MatchesSimulatorBitExactlyWhenSeeded. The encode/decode round trips
-/// are deterministic float math shared through comm/delta_codec.hpp, so
-/// lossy codecs still converge to the same bits across backends. A
-/// non-zero `group_size` runs hierarchical groups (§III-A): per-group rings
-/// plus the periodic inter-group leader exchange.
-void expect_codec_matches_simulator(core::SyncCompression codec,
-                                    std::size_t chunks,
-                                    std::size_t group_size = 0) {
-  exp::Scenario s = rt_scenario();
+/// The 6-epoch scenario with the given codec and chunk grid. A non-zero
+/// `group_size` runs hierarchical groups (§III-A): per-group rings plus
+/// the periodic inter-group leader exchange.
+exp::Scenario codec_scenario(core::SyncCompression codec, std::size_t chunks,
+                             std::size_t group_size = 0,
+                             std::vector<double> ratio = {3, 3, 1, 1}) {
+  exp::Scenario s = rt_scenario(std::move(ratio));
   s.train.total_epochs = 6;
   s.hadfl.compression = codec;
   s.hadfl.top_k_ratio = 0.05;
   s.hadfl.sync_chunks = chunks;
   s.hadfl.grouping.group_size = group_size;
-  exp::Environment env(s);
-  fl::SchemeContext sim_ctx = env.context();
-  const core::HadflResult sim = core::run_hadfl(sim_ctx, s.hadfl);
-  fl::SchemeContext rt_ctx = env.context();
-  const RtResult rt = run_hadfl_rt(rt_ctx, fast_rt_config(s.hadfl));
-  EXPECT_EQ(sim.scheme.sync_rounds, rt.scheme.sync_rounds);
-  ASSERT_EQ(sim.scheme.final_state.size(), rt.scheme.final_state.size());
-  for (std::size_t i = 0; i < sim.scheme.final_state.size(); ++i) {
-    ASSERT_EQ(sim.scheme.final_state[i], rt.scheme.final_state[i])
-        << "parameter " << i;
-  }
+  return s;
 }
 
 TEST(RtRunner, Int8CodecMatchesSimulatorBitExactly) {
-  expect_codec_matches_simulator(core::SyncCompression::kInt8, 4);
+  expect_rt_matches_simulator(
+      codec_scenario(core::SyncCompression::kInt8, 4));
 }
 
 TEST(RtRunner, TopKCodecMatchesSimulatorBitExactly) {
-  expect_codec_matches_simulator(core::SyncCompression::kTopK, 3);
+  expect_rt_matches_simulator(
+      codec_scenario(core::SyncCompression::kTopK, 3));
 }
 
 TEST(RtRunner, GroupedMatchesSimulatorBitExactly) {
-  expect_codec_matches_simulator(core::SyncCompression::kNone, 0,
-                                 /*group_size=*/2);
+  expect_rt_matches_simulator(codec_scenario(core::SyncCompression::kNone, 0,
+                                             /*group_size=*/2));
 }
 
 TEST(RtRunner, GroupedInt8CodecMatchesSimulatorBitExactly) {
-  expect_codec_matches_simulator(core::SyncCompression::kInt8, 4,
-                                 /*group_size=*/2);
+  expect_rt_matches_simulator(codec_scenario(core::SyncCompression::kInt8, 4,
+                                             /*group_size=*/2));
+}
+
+TEST(RtRunner, LastValuePredictorMatchesSimulator) {
+  exp::Scenario s = codec_scenario(core::SyncCompression::kNone, 0);
+  s.hadfl.predictor = core::PredictorMode::kLastValue;
+  expect_rt_matches_simulator(s);
+}
+
+TEST(RtRunner, StaticPredictorMatchesSimulator) {
+  exp::Scenario s = codec_scenario(core::SyncCompression::kNone, 0);
+  s.hadfl.predictor = core::PredictorMode::kStatic;
+  expect_rt_matches_simulator(s);
+}
+
+TEST(RtRunner, UnweightedAggregationMatchesSimulator) {
+  exp::Scenario s = codec_scenario(core::SyncCompression::kNone, 0);
+  s.hadfl.weight_by_samples = false;
+  expect_rt_matches_simulator(s);
+}
+
+TEST(RtRunner, NoPostNegotiationSyncMatchesSimulator) {
+  exp::Scenario s = codec_scenario(core::SyncCompression::kNone, 0);
+  s.hadfl.full_sync_after_negotiation = false;
+  expect_rt_matches_simulator(s);
+}
+
+TEST(RtRunner, EightDeviceGroupedTopKMatchesSimulator) {
+  // Two groups of four, an inter-group exchange every second round, and
+  // top-k deltas on a 3-chunk grid.
+  exp::Scenario s =
+      codec_scenario(core::SyncCompression::kTopK, 3, /*group_size=*/4,
+                     {3, 3, 1, 1, 2, 2, 1, 1});
+  s.hadfl.grouping.inter_group_period = 2;
+  expect_rt_matches_simulator(s);
+}
+
+TEST(RtRunner, IdleRoundsEndBothBackendsAlike) {
+  // From round 2 every device steps 1000x slower, so no budget fits the
+  // window: three rounds in a row execute nothing and the run ends.
+  std::vector<sim::DriftEvent> drift;
+  for (sim::DeviceId d = 0; d < 4; ++d) {
+    drift.push_back(sim::DriftEvent{d, /*from_round=*/2, /*factor=*/1000.0});
+  }
+  expect_rt_matches_simulator(codec_scenario(core::SyncCompression::kNone, 0),
+                              drift);
+  exp::Scenario s = codec_scenario(core::SyncCompression::kNone, 0);
+  exp::Environment env(s);
+  for (const sim::DriftEvent& event : drift) {
+    env.cluster().faults().schedule_drift(event);
+  }
+  fl::SchemeContext ctx = env.context();
+  EXPECT_EQ(core::run_hadfl(ctx, s.hadfl).scheme.sync_rounds, 4u);
 }
 
 TEST(RtRunner, CompressedSyncShrinksWireVolumeAndStillLearns) {
