@@ -4,7 +4,6 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
-#include <numeric>
 
 #include "common/error.hpp"
 
@@ -93,7 +92,8 @@ void decode_int8_chunk(std::span<const float> payload, std::span<float> dst) {
 
 void encode_topk_chunk(std::span<const float> chunk, double ratio,
                        std::span<float> payload) {
-  const std::size_t k = topk_keep_count(ratio, chunk.size());
+  const std::size_t n = chunk.size();
+  const std::size_t k = topk_keep_count(ratio, n);
   HADFL_CHECK_ARG(payload.size() == topk_payload_floats(k),
                   "top-k chunk payload size " << payload.size()
                                               << " != expected "
@@ -101,26 +101,49 @@ void encode_topk_chunk(std::span<const float> chunk, double ratio,
   payload[0] = std::bit_cast<float>(static_cast<std::uint32_t>(k));
   if (k == 0) return;
   // Rank by the magnitude bits: for every non-NaN float they order exactly
-  // like fabs (±0 tie, inf largest), and a NaN ranks above inf, so the
-  // comparator is a strict weak order on any chunk.
-  const auto magnitude = [&](std::uint32_t i) {
+  // like fabs (±0 tie, inf largest), and a NaN ranks above inf, so
+  // (magnitude desc, index asc) is a strict weak order on any chunk.
+  const auto magnitude = [&](std::size_t i) {
     return std::bit_cast<std::uint32_t>(chunk[i]) & 0x7fffffffu;
   };
-  std::vector<std::uint32_t> order(chunk.size());
-  std::iota(order.begin(), order.end(), 0u);
-  std::nth_element(order.begin(),
-                   order.begin() + static_cast<std::ptrdiff_t>(k - 1),
-                   order.end(), [&](std::uint32_t a, std::uint32_t b) {
-                     const std::uint32_t ma = magnitude(a);
-                     const std::uint32_t mb = magnitude(b);
-                     if (ma != mb) return ma > mb;
-                     return a < b;  // deterministic tie-break
-                   });
-  order.resize(k);
-  std::sort(order.begin(), order.end());  // ascending index layout
-  for (std::size_t i = 0; i < k; ++i) {
-    payload[1 + i] = std::bit_cast<float>(order[i]);
-    payload[1 + k + i] = chunk[order[i]];
+  // Radix select, most significant digit first: each pass histograms the
+  // next digit of the entries whose higher digits equal `prefix` and walks
+  // down from the top bucket until it holds the k-th largest. Afterwards
+  // every entry with magnitude >> shift above `prefix` is kept, plus the
+  // first `need` (lowest-index) entries equal to it. A pass that takes its
+  // whole bucket stops early: no tie is left to break. Digits 8+8+8+7
+  // cover the 31 magnitude bits; a histogram lives on the stack.
+  constexpr int kDigitBits[] = {8, 8, 8, 7};
+  std::uint32_t hist[256] = {};
+  std::uint32_t prefix = 0;
+  int shift = 31;
+  std::size_t need = k;
+  for (const int bits : kDigitBits) {
+    const int next_shift = shift - bits;
+    const std::uint32_t mask = (1u << bits) - 1u;
+    std::fill_n(hist, mask + 1, 0u);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint32_t m = magnitude(i);
+      if ((m >> shift) == prefix) ++hist[(m >> next_shift) & mask];
+    }
+    std::uint32_t bucket = mask;
+    while (hist[bucket] < need) need -= hist[bucket--];
+    prefix = (prefix << bits) | bucket;
+    shift = next_shift;
+    if (hist[bucket] == need) break;
+  }
+  // One ascending scan emits the kept entries in index order.
+  std::size_t out = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint32_t top = magnitude(i) >> shift;
+    if (top < prefix) continue;
+    if (top == prefix) {
+      if (need == 0) continue;
+      --need;
+    }
+    payload[1 + out] = std::bit_cast<float>(static_cast<std::uint32_t>(i));
+    payload[1 + k + out] = chunk[i];
+    ++out;
   }
 }
 

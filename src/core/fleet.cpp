@@ -131,7 +131,7 @@ class FleetEngine {
   void broadcast_integrate(const std::vector<sim::DeviceId>& delivered,
                            const std::vector<float>& aggregate,
                            double version_mean);
-  void inter_group_sync(const std::vector<sim::DeviceId>& leaders,
+  void inter_group_sync(const InterGroupLeaders& leaders,
                         const LivenessMonitor& liveness);
 
   /// A cohort covering the whole fleet has nothing to sample.
@@ -755,28 +755,29 @@ void FleetEngine::broadcast_integrate(
   });
 }
 
-void FleetEngine::inter_group_sync(const std::vector<sim::DeviceId>& leaders,
+void FleetEngine::inter_group_sync(const InterGroupLeaders& leaders,
                                    const LivenessMonitor& liveness) {
   const DeviceGroups& groups = planner_->groups();
   const std::size_t wire_bytes = planner_->wire_bytes();
-  std::vector<float> global = mean_state(leaders);
+  std::vector<float> global = mean_state(leaders.devices);
   try {
-    comm::simulate_ring_allreduce(transport_, leaders, wire_bytes);
+    comm::simulate_ring_allreduce(transport_, leaders.devices, wire_bytes);
   } catch (const CommError&) {
     HADFL_WARN("inter-group sync skipped: leader unreachable");
     return;
   }
   const SlabId global_slab = store_->create(global);
   std::vector<float> mixed;
-  for (std::size_t g = 0; g < groups.size() && g < leaders.size(); ++g) {
+  for (std::size_t i = 0; i < leaders.devices.size(); ++i) {
+    const sim::DeviceId leader = leaders.devices[i];
     // Available non-leader members mix the global state in; classes are
     // keyed by state slab only (the inter-group pass leaves the last-sync
     // reference untouched).
     std::map<SlabId, std::vector<sim::DeviceId>> classes;
-    for (const sim::DeviceId id : groups[g]) {
+    for (const sim::DeviceId id : groups[leaders.group[i]]) {
       if (!liveness.is_available(id)) continue;
-      if (id == leaders[g]) continue;
-      transport_.account(leaders[g], id, wire_bytes);
+      if (id == leader) continue;
+      transport_.account(leader, id, wire_bytes);
       classes[state_slab_[id]].push_back(id);
     }
     for (const auto& [slab, members] : classes) {
@@ -791,7 +792,7 @@ void FleetEngine::inter_group_sync(const std::vector<sim::DeviceId>& leaders,
       store_->release(new_state);
     }
     store_->retain(global_slab);
-    rebind_state(leaders[g], global_slab);
+    rebind_state(leader, global_slab);
   }
   store_->release(global_slab);
   planner_->merge_inter_group(std::move(global));
@@ -967,7 +968,7 @@ FleetResult FleetEngine::run() {
       if (candidates.empty()) continue;
       aggregate_group(candidates);
     }
-    const std::vector<sim::DeviceId> leaders = planner.inter_group_leaders(
+    const InterGroupLeaders leaders = planner.inter_group_leaders(
         [&](sim::DeviceId id) { return liveness.is_available(id); });
     if (!leaders.empty()) inter_group_sync(leaders, liveness);
 

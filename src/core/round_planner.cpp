@@ -252,17 +252,20 @@ void RoundPlanner::merge_group_aggregate(std::vector<float> aggregate) {
   }
 }
 
-std::vector<sim::DeviceId> RoundPlanner::inter_group_leaders(
+InterGroupLeaders RoundPlanner::inter_group_leaders(
     const std::function<bool(sim::DeviceId)>& alive) const {
   const auto period = static_cast<std::size_t>(
       std::max(1, config_.grouping.inter_group_period));
   if (groups_.size() <= 1 || round_ % period != 0) return {};
-  std::vector<sim::DeviceId> leaders;
-  for (const auto& group : groups_) {
+  InterGroupLeaders leaders;
+  for (std::size_t g = 0; g < groups_.size(); ++g) {
+    const auto& group = groups_[g];
     const auto leader = std::find_if(group.begin(), group.end(), alive);
-    if (leader != group.end()) leaders.push_back(*leader);
+    if (leader == group.end()) continue;
+    leaders.devices.push_back(*leader);
+    leaders.group.push_back(g);
   }
-  if (leaders.size() <= 1) leaders.clear();
+  if (leaders.devices.size() <= 1) return {};
   return leaders;
 }
 

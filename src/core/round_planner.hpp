@@ -57,6 +57,15 @@ struct BroadcastPlan {
   std::vector<sim::DeviceId> stale;
 };
 
+/// A round's inter-group exchange (§III-A): the leaders' ring and the
+/// group each leader speaks for. A group with no live member has no
+/// leader, so `devices[i]` leads `groups()[group[i]]`, not `groups()[i]`.
+struct InterGroupLeaders {
+  std::vector<sim::DeviceId> devices;
+  std::vector<std::size_t> group;
+  bool empty() const { return devices.empty(); }
+};
+
 class RoundPlanner {
  public:
   /// Sync attempts per group and round (§III-D repair + retry).
@@ -174,7 +183,7 @@ class RoundPlanner {
 
   /// This round's inter-group leaders — each group's first member for
   /// which `alive` holds — or none: no exchange this round, or < 2.
-  std::vector<sim::DeviceId> inter_group_leaders(
+  InterGroupLeaders inter_group_leaders(
       const std::function<bool(sim::DeviceId)>& alive) const;
   void merge_inter_group(std::vector<float> global) {
     eval_ = std::move(global);

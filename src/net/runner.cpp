@@ -5,6 +5,7 @@
 
 #include <chrono>
 #include <deque>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -14,6 +15,7 @@
 
 #include "common/error.hpp"
 #include "common/logging.hpp"
+#include "common/thread_pool.hpp"
 #include "core/round_logic.hpp"
 #include "net/codec.hpp"
 #include "net/process_fleet.hpp"
@@ -191,14 +193,20 @@ class NetDeviceOracle final : public rt::DeviceOracle {
 
 /// Worker endpoints in a node process: commands arrive as kControl frames
 /// (decoded on the transport's IO thread into a mailbox), reports go back
-/// the same way, beats are kBeat frames. The coordinator's shared cancel
-/// flag cannot cross a process boundary, so each sync command gets a local
-/// flag that a kCancel frame raises — and because the frame can overtake
-/// the worker's pop of the command it aborts, cancels for not-yet-seen
-/// collectives are remembered and applied on arrival.
+/// the same way, beats are kBeat frames — at most one per beat period
+/// (RtConfig::command_poll_s). The coordinator's shared cancel flag cannot
+/// cross a process boundary, so each sync command gets a local flag that a
+/// kCancel frame raises — and because the frame can overtake the worker's
+/// pop of the command it aborts, cancels for not-yet-seen collectives are
+/// remembered and applied on arrival.
 class NetWorkerIo final : public rt::WorkerIo {
+  using Clock = std::chrono::steady_clock;
+
  public:
-  explicit NetWorkerIo(SocketTransport& transport) : transport_(transport) {
+  NetWorkerIo(SocketTransport& transport, double beat_period_s)
+      : transport_(transport),
+        beat_period_(std::chrono::duration_cast<Clock::duration>(
+            std::chrono::duration<double>(beat_period_s))) {
     transport_.set_control_handler(
         [this](rt::DeviceId src, std::vector<std::uint8_t> body) {
           if (src != transport_.coordinator_id() || body.empty()) return;
@@ -232,7 +240,17 @@ class NetWorkerIo final : public rt::WorkerIo {
                             encode_report(report));
   }
 
-  void beat() override { transport_.send_beat(); }
+  /// Worker thread only. The worker beats after every chunk and poll, far
+  /// more often than the detector needs; a beat within one period of the
+  /// last frame sent is dropped. The first beat after a quiet stretch
+  /// always goes out, so the silence the coordinator sees is at most the
+  /// longest gap between beat() calls plus one period.
+  void beat() override {
+    const Clock::time_point now = Clock::now();
+    if (now - last_beat_ < beat_period_) return;
+    last_beat_ = now;
+    transport_.send_beat();
+  }
 
  private:
   void attach_cancel(rt::Command& cmd) {
@@ -266,6 +284,8 @@ class NetWorkerIo final : public rt::WorkerIo {
   }
 
   SocketTransport& transport_;
+  const Clock::duration beat_period_;
+  Clock::time_point last_beat_{};  ///< the epoch: the first beat goes out
   rt::Mailbox<rt::Command> commands_;
   std::mutex mu_;
   std::unordered_map<std::int64_t, std::shared_ptr<std::atomic<bool>>>
@@ -436,7 +456,7 @@ int run_hadfl_node(const fl::SchemeContext& ctx, const rt::RtConfig& config,
   topts.socket_dir = options.socket_dir;
   topts.connect_timeout_s = options.connect_timeout_s;
   SocketTransport transport(topts);
-  NetWorkerIo io(transport);
+  NetWorkerIo io(transport, config.command_poll_s);
   HandlerReset handler_reset{transport};  // before `io` dies
   transport.wait_ready();
 
@@ -447,7 +467,22 @@ int run_hadfl_node(const fl::SchemeContext& ctx, const rt::RtConfig& config,
   env.io = &io;
   env.config = &config;
   env.iter_time = ctx.cluster.iteration_time(options.node_id);
-  const bool orderly = rt::run_device_worker(env);
+  // The device loop runs as pool work, as rt::run_hadfl_rt's device loops
+  // do: under ThreadPool's nesting rule its kernels run inline instead of
+  // fanning out in every node process at once onto the same cores.
+  bool orderly = false;
+  std::exception_ptr error;
+  {
+    ThreadPool device_thread(1);
+    device_thread.submit([&] {
+      try {
+        orderly = rt::run_device_worker(env);
+      } catch (...) {
+        error = std::current_exception();
+      }
+    });
+  }  // joins once the loop has returned
+  if (error) std::rethrow_exception(error);
 
   if (!orderly && transport.alive(options.node_id)) {
     // Injected *silent* death: the endpoint stays open and only the missing

@@ -33,6 +33,27 @@ std::string uds_path(const std::string& dir, DeviceId id) {
   return dir + "/node-" + std::to_string(id) + ".sock";
 }
 
+void bump(std::atomic<std::uint64_t>& counter, std::uint64_t n = 1) {
+  counter.fetch_add(n, std::memory_order_relaxed);
+}
+
+/// The FrameClass index a frame of `type` counts under.
+std::size_t frame_class(FrameType type) {
+  switch (type) {
+    case FrameType::kData:
+      return static_cast<std::size_t>(FrameClass::kData);
+    case FrameType::kAck:
+    case FrameType::kNack:
+      return static_cast<std::size_t>(FrameClass::kAck);
+    case FrameType::kBeat:
+      return static_cast<std::size_t>(FrameClass::kBeat);
+    case FrameType::kControl:
+      return static_cast<std::size_t>(FrameClass::kControl);
+    default:
+      return static_cast<std::size_t>(FrameClass::kOther);
+  }
+}
+
 }  // namespace
 
 SocketTransport::SocketTransport(SocketTransportOptions options)
@@ -83,6 +104,7 @@ SocketTransport::~SocketTransport() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (auto& conn : conns_) {
+      std::lock_guard<std::mutex> tx_lock(conn->tx_mu);
       close_fd(conn->fd);
       conn->fd = -1;
     }
@@ -129,8 +151,7 @@ void SocketTransport::dial_peers() {
       append_frame(frame, FrameType::kHello, 0,
                    static_cast<std::uint32_t>(self_), hello_body);
       write_all(fd, frame.data(), frame.size());
-      bytes_sent_.fetch_add(frame.size(), std::memory_order_relaxed);
-      frames_sent_.fetch_add(1, std::memory_order_relaxed);
+      count_sent(FrameType::kHello, frame.size());
       set_nonblocking(fd);
       {
         std::lock_guard<std::mutex> lock(mu_);
@@ -226,13 +247,15 @@ void SocketTransport::io_loop() {
         Conn& conn = *conns_[i];
         if (conn.closed && conn.fd >= 0) {
           // Deferred close: only the IO thread releases fd numbers, so a
-          // concurrently-polled fd can never be reused under us.
+          // concurrently-polled fd can never be reused under us — and it
+          // holds the write lock, so no sender is mid-send on it either.
+          std::lock_guard<std::mutex> tx_lock(conn.tx_mu);
           close_fd(conn.fd);
           conn.fd = -1;
         }
         if (conn.fd < 0) continue;
         short events = POLLIN;
-        if (conn.tx_bytes > 0) {
+        if (conn.tx_bytes.load() > 0) {
           events |= POLLOUT;
           tx_pending = true;
         }
@@ -284,30 +307,19 @@ void SocketTransport::io_loop() {
       }
       if (fds[p].revents & POLLIN) handle_readable(ci);
       if (fds[p].revents & POLLOUT) {
-        std::unique_lock<std::mutex> lock(mu_);
-        Conn& conn = *conns_[ci];
-        while (!conn.closed && !conn.tx.empty()) {
-          const std::vector<std::uint8_t>& front = conn.tx.front();
-          // MSG_NOSIGNAL: a peer that reset the connection fails the send
-          // (EPIPE, dropped below) instead of killing this process.
-          const ssize_t written =
-              ::send(conn.fd, front.data() + conn.tx_offset,
-                     front.size() - conn.tx_offset, MSG_NOSIGNAL);
-          if (written < 0) {
-            if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) {
-              break;
-            }
-            drop_conn_locked(ci);
-            break;
-          }
-          conn.tx_offset += static_cast<std::size_t>(written);
-          if (conn.tx_offset == front.size()) {
-            conn.tx_bytes -= front.size();
-            conn.tx.pop_front();
-            conn.tx_offset = 0;
-          }
+        Conn* conn = nullptr;
+        {
+          std::lock_guard<std::mutex> lock(mu_);
+          conn = conns_[ci].get();
         }
-        if (conn.tx_bytes < kMaxQueuedBytes) cv_.notify_all();
+        bool ok = true;
+        {
+          std::lock_guard<std::mutex> tx_lock(conn->tx_mu);
+          if (!conn->tx_closed) ok = flush_locked(*conn);
+        }
+        std::lock_guard<std::mutex> lock(mu_);
+        if (!ok) drop_conn_locked(ci);
+        if (conn->tx_bytes.load() < kMaxQueuedBytes) cv_.notify_all();
       }
     }
   }
@@ -353,7 +365,7 @@ void SocketTransport::handle_readable(std::size_t conn_index) {
       return;
     }
     if (rest.size() < rt::kFrameHeaderBytes + header.body_len) break;
-    frames_received_.fetch_add(1, std::memory_order_relaxed);
+    bump(frames_received_[frame_class(header.type)]);
     dispatch_frame(conn_index, header,
                    rest.subspan(rt::kFrameHeaderBytes, header.body_len));
     {
@@ -416,11 +428,13 @@ void SocketTransport::dispatch_frame(std::size_t conn_index,
           drop_conn_locked(conn_index);
           return;
         }
+        // Queued while mu_ still hides the connection from senders, so the
+        // ack goes out ahead of any frame they send; this IO thread writes
+        // it on its next pass.
+        count_sent(FrameType::kHelloAck, frame.size());
+        std::lock_guard<std::mutex> tx_lock(conn.tx_mu);
+        conn.tx_bytes += frame.size();
         conn.tx.push_back(std::move(frame));
-        conn.tx_bytes += conn.tx.back().size();
-        bytes_sent_.fetch_add(conn.tx.back().size(),
-                              std::memory_order_relaxed);
-        frames_sent_.fetch_add(1, std::memory_order_relaxed);
       }
       cv_.notify_all();
       return;
@@ -551,8 +565,13 @@ void SocketTransport::drop_conn_locked(std::size_t conn_index) {
   if (conn.peer_known && conn_of_[conn.peer] == static_cast<int>(conn_index)) {
     conn_of_[conn.peer] = -1;
   }
-  conn.tx.clear();
-  conn.tx_bytes = 0;
+  {
+    std::lock_guard<std::mutex> tx_lock(conn.tx_mu);
+    conn.tx_closed = true;
+    conn.tx.clear();
+    conn.tx_offset = 0;
+    conn.tx_bytes = 0;
+  }
   // Every rendezvous in flight to this peer is now lost.
   std::vector<std::shared_ptr<PendingSend>> dropped;
   for (auto it = pending_.begin(); it != pending_.end();) {
@@ -572,28 +591,77 @@ void SocketTransport::drop_conn_locked(std::size_t conn_index) {
 // Send paths (worker / coordinator threads)
 // ---------------------------------------------------------------------
 
-bool SocketTransport::enqueue_frame(DeviceId endpoint,
+void SocketTransport::count_sent(FrameType type, std::size_t bytes) {
+  bump(bytes_sent_, bytes);
+  bump(frames_sent_[frame_class(type)]);
+}
+
+bool SocketTransport::flush_locked(Conn& conn) {
+  while (!conn.tx.empty()) {
+    const std::vector<std::uint8_t>& front = conn.tx.front();
+    // MSG_NOSIGNAL: a peer that reset the connection fails the send
+    // (EPIPE) instead of killing this process. The socket is
+    // non-blocking, so a full buffer answers EAGAIN.
+    const ssize_t written =
+        ::send(conn.fd, front.data() + conn.tx_offset,
+               front.size() - conn.tx_offset, MSG_NOSIGNAL);
+    if (written < 0) {
+      if (errno == EINTR) continue;
+      return errno == EAGAIN || errno == EWOULDBLOCK;
+    }
+    conn.tx_offset += static_cast<std::size_t>(written);
+    if (conn.tx_offset == front.size()) {
+      conn.tx_bytes -= front.size();
+      conn.tx.pop_front();
+      conn.tx_offset = 0;
+    }
+  }
+  return true;
+}
+
+bool SocketTransport::enqueue_frame(DeviceId endpoint, FrameType type,
                                     std::vector<std::uint8_t> frame,
                                     bool allow_block) {
-  std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    const int index = conn_of_[endpoint];
-    if (index < 0 || conns_[index]->closed || !self_alive_ || stopping_) {
-      return false;
+  std::size_t index = 0;
+  Conn* conn = nullptr;
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    for (;;) {
+      const int i = conn_of_[endpoint];
+      if (i < 0 || conns_[i]->closed || !self_alive_ || stopping_) {
+        return false;
+      }
+      index = static_cast<std::size_t>(i);
+      conn = conns_[index].get();
+      if (conn->tx_bytes.load() < kMaxQueuedBytes) break;
+      if (!allow_block) return false;
+      cv_.wait(lock);  // backpressure: the IO thread notifies as it drains
     }
-    Conn& conn = *conns_[index];
-    if (conn.tx_bytes < kMaxQueuedBytes) {
-      conn.tx_bytes += frame.size();
-      bytes_sent_.fetch_add(frame.size(), std::memory_order_relaxed);
-      frames_sent_.fetch_add(1, std::memory_order_relaxed);
-      conn.tx.push_back(std::move(frame));
-      lock.unlock();
-      wake_io();
-      return true;
-    }
-    if (!allow_block) return false;
-    cv_.wait(lock);  // backpressure: the IO thread notifies as it drains
   }
+  const std::size_t bytes = frame.size();
+  bool failed = false;
+  bool queued = false;
+  {
+    std::lock_guard<std::mutex> tx_lock(conn->tx_mu);
+    if (conn->tx_closed) return false;  // dropped since the lookup
+    // On an idle connection the frame goes out now; behind queued frames
+    // it waits for the IO thread that is flushing them.
+    const bool idle = conn->tx.empty();
+    conn->tx_bytes += bytes;
+    conn->tx.push_back(std::move(frame));
+    failed = idle && !flush_locked(*conn);
+    queued = !conn->tx.empty();
+  }
+  if (failed) {
+    // The connection died under the send: drop it the way the IO thread
+    // would, which resolves pending rendezvous sends.
+    std::lock_guard<std::mutex> lock(mu_);
+    drop_conn_locked(index);
+  } else if (queued) {
+    wake_io();  // the IO thread flushes what the kernel did not take
+  }
+  count_sent(type, bytes);
+  return true;
 }
 
 std::shared_ptr<PendingSend> SocketTransport::isend(DeviceId src,
@@ -619,7 +687,8 @@ std::shared_ptr<PendingSend> SocketTransport::isend(DeviceId src,
                         /*want_ack=*/true);
   pool_.release(std::move(msg.payload));
   sent_[src].fetch_add(bytes, std::memory_order_relaxed);
-  if (!enqueue_frame(dst, std::move(frame), /*allow_block=*/true)) {
+  if (!enqueue_frame(dst, FrameType::kData, std::move(frame),
+                     /*allow_block=*/true)) {
     {
       std::lock_guard<std::mutex> lock(mu_);
       pending_.erase(seq);
@@ -650,7 +719,8 @@ void SocketTransport::send_nonblocking(DeviceId src, DeviceId dst,
   rt::append_data_frame(frame, static_cast<std::uint32_t>(src), msg, 0,
                         /*want_ack=*/false);
   pool_.release(std::move(msg.payload));
-  if (!enqueue_frame(dst, std::move(frame), /*allow_block=*/true)) {
+  if (!enqueue_frame(dst, FrameType::kData, std::move(frame),
+                     /*allow_block=*/true)) {
     throw CommError("send_nonblocking: destination device " +
                     std::to_string(dst) + " is down");
   }
@@ -660,7 +730,7 @@ void SocketTransport::send_ack(DeviceId endpoint, FrameType type,
                                std::uint64_t seq) {
   std::vector<std::uint8_t> frame;
   rt::append_seq_frame(frame, type, static_cast<std::uint32_t>(self_), seq);
-  enqueue_frame(endpoint, std::move(frame), /*allow_block=*/false);
+  enqueue_frame(endpoint, type, std::move(frame), /*allow_block=*/false);
 }
 
 Message SocketTransport::recv_match(DeviceId dst, DeviceId from,
@@ -715,7 +785,8 @@ bool SocketTransport::handshake(DeviceId src, DeviceId dst,
   std::vector<std::uint8_t> frame;
   rt::append_seq_frame(frame, FrameType::kPing,
                        static_cast<std::uint32_t>(src), seq);
-  if (!enqueue_frame(dst, std::move(frame), /*allow_block=*/false)) {
+  if (!enqueue_frame(dst, FrameType::kPing, std::move(frame),
+                     /*allow_block=*/false)) {
     return false;  // no connection — the OS-level equivalent of no answer
   }
   const auto deadline = std::chrono::steady_clock::now() +
@@ -814,7 +885,8 @@ bool SocketTransport::send_control(DeviceId endpoint,
   std::vector<std::uint8_t> frame;
   append_frame(frame, FrameType::kControl, 0,
                static_cast<std::uint32_t>(self_), body);
-  return enqueue_frame(endpoint, std::move(frame), /*allow_block=*/true);
+  return enqueue_frame(endpoint, FrameType::kControl, std::move(frame),
+                       /*allow_block=*/true);
 }
 
 void SocketTransport::set_control_handler(
@@ -837,7 +909,8 @@ void SocketTransport::send_beat() {
   std::vector<std::uint8_t> frame;
   append_frame(frame, FrameType::kBeat, 0, static_cast<std::uint32_t>(self_),
                {});
-  enqueue_frame(coordinator_id(), std::move(frame), /*allow_block=*/false);
+  enqueue_frame(coordinator_id(), FrameType::kBeat, std::move(frame),
+                /*allow_block=*/false);
 }
 
 void SocketTransport::set_beat_handler(std::function<void(DeviceId)> fn) {
@@ -855,7 +928,8 @@ void SocketTransport::send_cancel(DeviceId dst, std::int64_t collective_id) {
   std::vector<std::uint8_t> frame;
   append_frame(frame, FrameType::kCancel, 0,
                static_cast<std::uint32_t>(self_), body);
-  enqueue_frame(dst, std::move(frame), /*allow_block=*/false);
+  enqueue_frame(dst, FrameType::kCancel, std::move(frame),
+                /*allow_block=*/false);
 }
 
 void SocketTransport::set_cancel_handler(
@@ -877,8 +951,13 @@ NetCounters SocketTransport::counters() const {
   NetCounters c;
   c.bytes_sent = bytes_sent_.load(std::memory_order_relaxed);
   c.bytes_received = bytes_received_.load(std::memory_order_relaxed);
-  c.frames_sent = frames_sent_.load(std::memory_order_relaxed);
-  c.frames_received = frames_received_.load(std::memory_order_relaxed);
+  for (std::size_t i = 0; i < kFrameClassCount; ++i) {
+    c.frames_sent_by_class[i] = frames_sent_[i].load(std::memory_order_relaxed);
+    c.frames_received_by_class[i] =
+        frames_received_[i].load(std::memory_order_relaxed);
+    c.frames_sent += c.frames_sent_by_class[i];
+    c.frames_received += c.frames_received_by_class[i];
+  }
   c.connects = connects_.load(std::memory_order_relaxed);
   c.disconnects = disconnects_.load(std::memory_order_relaxed);
   c.dial_retries = dial_retries_.load(std::memory_order_relaxed);
@@ -891,6 +970,14 @@ void SocketTransport::export_metrics(obs::MetricsRegistry& registry) const {
   registry.counter("net.bytes_received").add(c.bytes_received);
   registry.counter("net.frames_sent").add(c.frames_sent);
   registry.counter("net.frames_received").add(c.frames_received);
+  static constexpr const char* kClassNames[kFrameClassCount] = {
+      "data", "ack", "beat", "control", "other"};
+  for (std::size_t i = 0; i < kFrameClassCount; ++i) {
+    const std::string prefix = std::string("net.") + kClassNames[i];
+    registry.counter(prefix + "_frames_sent").add(c.frames_sent_by_class[i]);
+    registry.counter(prefix + "_frames_received")
+        .add(c.frames_received_by_class[i]);
+  }
   registry.counter("net.connects").add(c.connects);
   registry.counter("net.disconnects").add(c.disconnects);
   registry.counter("net.dial_retries").add(c.dial_retries);

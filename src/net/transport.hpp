@@ -10,16 +10,19 @@
 // a mismatch on any of them closes the connection, so a stray process from
 // another run can never join the mesh.
 //
-// A single poll()-driven IO thread per process owns every fd: it accepts,
-// parses frames incrementally (rt/wire_format.hpp — malformed input drops
-// the connection, truncated input waits), answers kPing with kPong even
-// while the worker thread is busy or wedged (the exact analogue of the
-// inproc endpoint daemon: a silently-dead worker still handshakes true and
-// must be fenced by heartbeat timeout, §III-D), and drains the per-peer
-// send queues. Worker/coordinator threads only append to those queues —
-// sends are non-blocking up to a per-connection backpressure cap
-// (kMaxQueuedBytes), beyond which the sending thread waits for the queue
-// to drain.
+// A single poll()-driven IO thread per process accepts, reads and closes
+// every fd: it parses frames incrementally (rt/wire_format.hpp — malformed
+// input drops the connection, truncated input waits), answers kPing with
+// kPong even while the worker thread is busy or wedged (the exact analogue
+// of the inproc endpoint daemon: a silently-dead worker still handshakes
+// true and must be fenced by heartbeat timeout, §III-D), and drains the
+// per-peer send queues. A sending thread writes its frame to the
+// non-blocking socket itself when nothing is queued on that connection,
+// under the connection's write lock (never under the transport mutex), so
+// frames never interleave and keep their order; what the kernel does not
+// take is queued, and only then is the IO thread woken to flush it. Sends
+// never block in the kernel; beyond a per-connection backpressure cap
+// (kMaxQueuedBytes) the sending thread waits for the queue to drain.
 //
 // Rendezvous (`isend`) sends carry a sequence number and the want-ack
 // flag; the receiver acks when the message is *popped* from its mailbox
@@ -35,6 +38,7 @@
 // disconnects, dial retries).
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -85,12 +89,21 @@ struct SocketTransportOptions {
   bool expect_coordinator = true;
 };
 
+/// What a frame carries, for the per-class frame counters: payload chunks
+/// (kData), rendezvous answers (kAck, kNack), heartbeats (kBeat), commands
+/// and reports (kControl), and the rest (handshake, ping/pong, cancel).
+enum class FrameClass : std::uint8_t { kData, kAck, kBeat, kControl, kOther };
+inline constexpr std::size_t kFrameClassCount = 5;
+
 /// Monotonic socket-layer counters (all frames, framing bytes included).
 struct NetCounters {
   std::uint64_t bytes_sent = 0;
   std::uint64_t bytes_received = 0;
-  std::uint64_t frames_sent = 0;
-  std::uint64_t frames_received = 0;
+  std::uint64_t frames_sent = 0;      ///< every class
+  std::uint64_t frames_received = 0;  ///< every class
+  /// Frames by FrameClass (index = the enum value).
+  std::array<std::uint64_t, kFrameClassCount> frames_sent_by_class{};
+  std::array<std::uint64_t, kFrameClassCount> frames_received_by_class{};
   std::uint64_t connects = 0;      ///< handshakes completed
   std::uint64_t disconnects = 0;   ///< established connections lost/closed
   std::uint64_t dial_retries = 0;  ///< reconnect attempts while dialing
@@ -168,20 +181,30 @@ class SocketTransport final : public rt::Transport {
   bool coordinator_link_up() const;
 
   NetCounters counters() const;
-  /// Adds the net.* counters to `registry`.
+  /// Adds the net.* counters to `registry`: the totals net.frames_sent and
+  /// net.frames_received plus net.<class>_frames_sent/_received per
+  /// FrameClass (data, ack, beat, control, other).
   void export_metrics(obs::MetricsRegistry& registry) const;
 
  private:
+  /// Lock order: mu_ before a connection's tx_mu; no thread takes mu_
+  /// while it holds a tx_mu. Under tx_mu run only sends and the IO
+  /// thread's deferred close.
   struct Conn {
-    int fd = -1;
+    int fd = -1;  ///< closed and reset by the IO thread under mu_ + tx_mu
     DeviceId peer = 0;
     bool peer_known = false;   ///< dialed, or kHello received
     bool established = false;  ///< hello exchange complete
-    bool closed = false;
+    bool closed = false;       ///< guarded by mu_
     std::vector<std::uint8_t> rx;  // IO-thread-owned reassembly buffer
-    std::deque<std::vector<std::uint8_t>> tx;  // guarded by mu_
-    std::size_t tx_offset = 0;                 // bytes of tx.front() written
-    std::size_t tx_bytes = 0;
+    // Send side, guarded by tx_mu: only a holder writes to fd.
+    std::mutex tx_mu;
+    bool tx_closed = false;  ///< set with `closed`: nothing more goes out
+    std::deque<std::vector<std::uint8_t>> tx;
+    std::size_t tx_offset = 0;  ///< bytes of tx.front() already written
+    /// Bytes of the frames in tx (written under tx_mu; read without it for
+    /// the backpressure cap and the IO thread's POLLOUT interest).
+    std::atomic<std::size_t> tx_bytes{0};
   };
 
   struct Envelope {
@@ -201,9 +224,15 @@ class SocketTransport final : public rt::Transport {
   /// Closes the connection and resolves everything pending on it
   /// (in-flight rendezvous sends drop, waiters wake).
   void drop_conn_locked(std::size_t conn_index);
-  /// Appends a frame to the peer's queue; false when the link is down.
-  bool enqueue_frame(DeviceId endpoint, std::vector<std::uint8_t> frame,
-                     bool allow_block);
+  /// Sends a frame to the peer: written at once when nothing is queued on
+  /// the connection, else (and for whatever the kernel does not take)
+  /// queued for the IO thread. False when the link is down.
+  bool enqueue_frame(DeviceId endpoint, rt::FrameType type,
+                     std::vector<std::uint8_t> frame, bool allow_block);
+  /// Writes queued frames until the socket would block; false on a send
+  /// error (the caller drops the connection). Needs conn.tx_mu held.
+  static bool flush_locked(Conn& conn);
+  void count_sent(rt::FrameType type, std::size_t bytes);
   bool establish_locked(std::size_t conn_index, DeviceId peer);
   void send_ack(DeviceId endpoint, rt::FrameType type, std::uint64_t seq);
   void dial_peers();
@@ -235,8 +264,8 @@ class SocketTransport final : public rt::Transport {
 
   std::atomic<std::uint64_t> bytes_sent_{0};
   std::atomic<std::uint64_t> bytes_received_{0};
-  std::atomic<std::uint64_t> frames_sent_{0};
-  std::atomic<std::uint64_t> frames_received_{0};
+  std::array<std::atomic<std::uint64_t>, kFrameClassCount> frames_sent_{};
+  std::array<std::atomic<std::uint64_t>, kFrameClassCount> frames_received_{};
   std::atomic<std::uint64_t> connects_{0};
   std::atomic<std::uint64_t> disconnects_{0};
   std::atomic<std::uint64_t> dial_retries_{0};

@@ -487,9 +487,10 @@ RtResult run_hadfl_coordinator(const fl::SchemeContext& ctx,
     //    fire-and-forget like the broadcast). The applied state and mix
     //    match the simulator's leader exchange bit for bit; a failed
     //    phase 1 aborts with no state touched.
-    const std::vector<DeviceId> leaders =
+    const core::InterGroupLeaders inter =
         planner.inter_group_leaders([&](DeviceId id) { return live[id]; });
-    if (!leaders.empty()) {
+    if (!inter.empty()) {
+      const std::vector<DeviceId>& leaders = inter.devices;
       const core::DeviceGroups& groups = planner.groups();
       const std::int64_t cid = next_collective_id++;
       auto reps = run_collective(
@@ -507,11 +508,11 @@ RtResult run_hadfl_coordinator(const fl::SchemeContext& ctx,
         std::vector<float> global =
             std::move(reps->at(leaders.front()).aggregate);
         const std::int64_t push_id = next_collective_id++;
-        for (std::size_t g = 0; g < groups.size() && g < leaders.size();
-             ++g) {
+        for (std::size_t i = 0; i < leaders.size(); ++i) {
+          const DeviceId leader = leaders[i];
           std::vector<DeviceId> members;
-          for (DeviceId id : groups[g]) {
-            if (live[id] && id != leaders[g]) members.push_back(id);
+          for (DeviceId id : groups[inter.group[i]]) {
+            if (live[id] && id != leader) members.push_back(id);
           }
           Command c;
           c.kind = CmdKind::kInterCommit;
@@ -519,11 +520,11 @@ RtResult run_hadfl_coordinator(const fl::SchemeContext& ctx,
           c.collective_id = push_id;
           c.wire_bytes = wire_bytes;
           c.chunks = config.hadfl.sync_chunks;
-          if (post(leaders[g], std::move(c))) {
+          if (post(leader, std::move(c))) {
             for (DeviceId id : members) {
               Command c2;
               c2.kind = CmdKind::kInterMix;
-              c2.peer = leaders[g];
+              c2.peer = leader;
               c2.collective_id = push_id;
               c2.chunks = config.hadfl.sync_chunks;
               post(id, std::move(c2));

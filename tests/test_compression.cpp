@@ -202,6 +202,112 @@ TEST(DeltaCodec, TopKOrdersLikeFabsAndRanksNanFirst) {
   }
 }
 
+/// The partial-sort top-k encoder, kept as the oracle for
+/// encode_topk_chunk's radix select: an index vector ranked by an indirect
+/// nth_element on (magnitude bits desc, index asc), the kept prefix sorted
+/// back into index order.
+std::vector<float> reference_topk_encode(std::span<const float> chunk,
+                                         double ratio) {
+  const std::size_t k = topk_keep_count(ratio, chunk.size());
+  std::vector<float> payload(topk_payload_floats(k));
+  payload[0] = std::bit_cast<float>(static_cast<std::uint32_t>(k));
+  if (k == 0) return payload;
+  const auto magnitude = [&](std::uint32_t i) {
+    return std::bit_cast<std::uint32_t>(chunk[i]) & 0x7fffffffu;
+  };
+  std::vector<std::uint32_t> order(chunk.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::nth_element(order.begin(),
+                   order.begin() + static_cast<std::ptrdiff_t>(k - 1),
+                   order.end(), [&](std::uint32_t a, std::uint32_t b) {
+                     const std::uint32_t ma = magnitude(a);
+                     const std::uint32_t mb = magnitude(b);
+                     if (ma != mb) return ma > mb;
+                     return a < b;
+                   });
+  order.resize(k);
+  std::sort(order.begin(), order.end());
+  for (std::size_t i = 0; i < k; ++i) {
+    payload[1 + i] = std::bit_cast<float>(order[i]);
+    payload[1 + k + i] = chunk[order[i]];
+  }
+  return payload;
+}
+
+/// A chunk built to stress the select: NaNs of both signs and several
+/// payloads, ±inf, subnormals and ±0 among normal draws; a single
+/// repeated value; magnitudes that share their high bits, so every radix
+/// digit is needed; or a few distinct magnitudes, so ties sit at the
+/// threshold.
+std::vector<float> select_stress_chunk(Rng& rng, std::size_t n) {
+  const auto nan_with = [](std::uint32_t payload_bits, bool negative) {
+    return std::bit_cast<float>((negative ? 0xff800000u : 0x7f800000u) |
+                                (payload_bits & 0x7fffffu) | 1u);
+  };
+  switch (rng.uniform_int(0, 3)) {
+    case 0: {
+      std::vector<float> chunk = random_finite_chunk(rng, n);
+      const auto nans = rng.uniform_int(0, 3);
+      for (std::int64_t j = 0; j < nans; ++j) {
+        const auto at = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+        chunk[at] = nan_with(static_cast<std::uint32_t>(rng()),
+                             rng.uniform() < 0.5);
+      }
+      return chunk;
+    }
+    case 1: {
+      const float choices[] = {0.0f,
+                               -0.0f,
+                               1.5f,
+                               -std::numeric_limits<float>::infinity(),
+                               std::numeric_limits<float>::denorm_min(),
+                               std::numeric_limits<float>::quiet_NaN()};
+      return std::vector<float>(n, choices[rng.uniform_int(0, 5)]);
+    }
+    case 2: {
+      const auto base = static_cast<std::uint32_t>(
+          rng.uniform_int(0, 0x7f000000));
+      std::vector<float> chunk(n);
+      for (float& v : chunk) {
+        const auto low = static_cast<std::uint32_t>(rng.uniform_int(0, 4095));
+        v = std::bit_cast<float>((base & ~0xfffu) | low |
+                                 (rng.uniform() < 0.5 ? 0x80000000u : 0u));
+      }
+      return chunk;
+    }
+    default: {
+      const float levels[] = {0.25f, 2.0f, 1e-3f};
+      std::vector<float> chunk(n);
+      for (float& v : chunk) {
+        v = levels[rng.uniform_int(0, 2)] * (rng.uniform() < 0.5 ? 1.0f : -1.0f);
+      }
+      return chunk;
+    }
+  }
+}
+
+TEST(DeltaCodec, TopKSelectMatchesPartialSortEncoderByteForByte) {
+  Rng rng(23);
+  for (int trial = 0; trial < 3000; ++trial) {
+    const auto n = static_cast<std::size_t>(
+        rng.uniform_int(1, trial % 10 == 0 ? 5000 : 400));
+    const std::vector<float> chunk = select_stress_chunk(rng, n);
+    // k = 1, k = n, and ratios in between.
+    for (const double ratio : {1e-9, 1.0, rng.uniform(0.01, 1.0)}) {
+      const std::size_t k = topk_keep_count(ratio, n);
+      std::vector<float> payload(topk_payload_floats(k));
+      encode_topk_chunk(chunk, ratio, payload);
+      const std::vector<float> expect = reference_topk_encode(chunk, ratio);
+      ASSERT_EQ(payload.size(), expect.size());
+      ASSERT_EQ(std::memcmp(payload.data(), expect.data(),
+                            payload.size() * sizeof(float)),
+                0)
+          << "trial " << trial << ", n " << n << ", k " << k;
+    }
+  }
+}
+
 TEST(DeltaCodec, EncodedSizesAreDataIndependentSums) {
   // The pricing contract: every backend can compute wire bytes from the
   // formula alone, without encoding anything.

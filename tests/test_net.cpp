@@ -22,6 +22,7 @@
 #include <cstring>
 #include <ctime>
 #include <initializer_list>
+#include <map>
 #include <mutex>
 #include <optional>
 #include <thread>
@@ -510,10 +511,9 @@ TEST(NetTransport, LargeFrameReassemblesAcrossPartialReads) {
   }
 }
 
-TEST(NetTransport, TcpMeshTransfersLargeFrame) {
-  // Same reassembly property over real TCP with pre-bound listeners — the
-  // fleet's wiring, minus the processes.
-  const std::size_t k = 2;
+/// A coordinator-less in-process device mesh over loopback TCP with
+/// pre-bound listeners — the fleet's wiring, minus the processes.
+std::vector<std::unique_ptr<SocketTransport>> tcp_mesh(std::size_t k) {
   std::vector<std::uint16_t> ports(k);
   std::vector<int> fds(k);
   for (std::size_t i = 0; i < k; ++i) fds[i] = bind_loopback_listener(ports[i]);
@@ -530,6 +530,12 @@ TEST(NetTransport, TcpMeshTransfersLargeFrame) {
     eps.push_back(std::make_unique<SocketTransport>(o));
   }
   for (auto& e : eps) e->wait_ready();
+  return eps;
+}
+
+TEST(NetTransport, TcpMeshTransfersLargeFrame) {
+  // Same reassembly property over real TCP.
+  std::vector<std::unique_ptr<SocketTransport>> eps = tcp_mesh(2);
 
   const std::size_t n = 300'000;
   Message msg;
@@ -545,6 +551,74 @@ TEST(NetTransport, TcpMeshTransfersLargeFrame) {
     ASSERT_EQ(got.payload[i], static_cast<float>((i * 7) % 4093))
         << "index " << i;
   }
+}
+
+/// Several threads send to one peer at once, every fifth frame a 4 MB one
+/// that no socket buffer holds, so direct writes run into partial writes
+/// and EAGAIN and hand the rest to the IO thread while other threads keep
+/// sending. Every frame must arrive intact and in its sender's order; a
+/// frame written into the middle of another would corrupt the stream.
+void expect_concurrent_senders_arrive_in_order(SocketTransport& from,
+                                               SocketTransport& to) {
+  constexpr std::size_t kSenders = 4;
+  constexpr std::size_t kFrames = 40;
+  const auto frame_len = [](std::size_t i) -> std::size_t {
+    return i % 5 == 4 ? std::size_t{1} << 20 : 1 + (i * 37) % 3000;
+  };
+  const auto value = [](std::size_t s, std::size_t i, std::size_t j) {
+    return static_cast<float>((s * 131 + i * 17 + j) % 65521);
+  };
+  const DeviceId src = from.self();
+  const DeviceId dst = to.self();
+  std::vector<std::jthread> senders;  // joined on every exit, failures too
+  for (std::size_t s = 0; s < kSenders; ++s) {
+    senders.emplace_back([&, s] {
+      try {
+        for (std::size_t i = 0; i < kFrames; ++i) {
+          Message msg;
+          msg.tag = static_cast<std::int64_t>(s * kFrames + i);
+          msg.payload.resize(frame_len(i));
+          for (std::size_t j = 0; j < msg.payload.size(); ++j) {
+            msg.payload[j] = value(s, i, j);
+          }
+          if (i % 3 == 0) {
+            (void)from.isend(src, dst, std::move(msg));  // acked on pop
+          } else {
+            from.send_nonblocking(src, dst, std::move(msg));
+          }
+        }
+      } catch (const std::exception& e) {  // e.g. a corrupt stream dropped
+        ADD_FAILURE() << "sender " << s << ": " << e.what();
+      }
+    });
+  }
+  std::vector<std::size_t> next(kSenders, 0);
+  for (std::size_t got = 0; got < kSenders * kFrames; ++got) {
+    std::optional<Message> msg = to.recv_any(dst, 20.0);
+    ASSERT_TRUE(msg.has_value()) << "frame " << got << " never arrived";
+    const auto s = static_cast<std::size_t>(msg->tag) / kFrames;
+    const auto i = static_cast<std::size_t>(msg->tag) % kFrames;
+    ASSERT_LT(s, kSenders);
+    ASSERT_EQ(i, next[s]) << "sender " << s << " out of order";
+    ++next[s];
+    ASSERT_EQ(msg->payload.size(), frame_len(i));
+    for (std::size_t j = 0; j < msg->payload.size(); ++j) {
+      ASSERT_EQ(msg->payload[j], value(s, i, j))
+          << "sender " << s << ", frame " << i << ", index " << j;
+    }
+    to.pool().release(std::move(msg->payload));
+  }
+  EXPECT_EQ(next, std::vector<std::size_t>(kSenders, kFrames));
+}
+
+TEST(NetTransport, ConcurrentSendersKeepFramesWholeAndOrderedOverUds) {
+  UdsMesh mesh(2);
+  expect_concurrent_senders_arrive_in_order(mesh[0], mesh[1]);
+}
+
+TEST(NetTransport, ConcurrentSendersKeepFramesWholeAndOrderedOverTcp) {
+  std::vector<std::unique_ptr<SocketTransport>> eps = tcp_mesh(2);
+  expect_concurrent_senders_arrive_in_order(*eps[1], *eps[0]);
 }
 
 TEST(NetTransport, FramesBeforeHandlerRegistrationAreNotLost) {
@@ -794,6 +868,62 @@ TEST(NetE2E, MultiProcessRunMatchesInprocRtBitExactly) {
   // model the single-process rt backend computes.
   expect_net_matches_inproc(e2e_args(), {},
                             {TransportKind::kUds, TransportKind::kTcp});
+}
+
+/// The coordinator's frame counters of one seeded, fault-free telemetry run.
+struct FrameCounts {
+  std::map<std::string, std::uint64_t> non_beat;  ///< counter name -> value
+  std::uint64_t beats_received = 0;
+  double wall_s = 0.0;  ///< around the whole run, mesh setup included
+};
+
+FrameCounts coordinator_frame_counts(TransportKind kind) {
+  const ArgParser args = e2e_args();
+  const exp::RunSetup setup = exp::make_run_setup(args);
+  rt::RtConfig config = exp::make_rt_config(args, setup.scenario);
+  config.telemetry = true;
+  const auto t0 = std::chrono::steady_clock::now();
+  const rt::RtResult r = run_net(args, setup, config, kind);
+  FrameCounts counts;
+  counts.wall_s = std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - t0)
+                      .count();
+  for (const char* cls : {"data", "ack", "beat", "control", "other"}) {
+    for (const char* dir : {"sent", "received"}) {
+      const std::string name =
+          std::string("net.") + cls + "_frames_" + dir;
+      const obs::CounterSample* c = r.metrics.find_counter(name);
+      EXPECT_NE(c, nullptr) << name;
+      if (c == nullptr) continue;
+      if (std::string(cls) == "beat") {
+        if (std::string(dir) == "received") counts.beats_received = c->value;
+        continue;
+      }
+      counts.non_beat[name] = c->value;
+    }
+  }
+  return counts;
+}
+
+TEST(NetE2E, OnlyHeartbeatFrameCountsDependOnTheClock) {
+  // Data, ack, control and handshake frames follow from the seeded run
+  // alone, so they repeat exactly across runs and transports; heartbeats
+  // are paced by the clock, at most one frame per beat period per node.
+  const FrameCounts tcp_a = coordinator_frame_counts(TransportKind::kTcp);
+  const FrameCounts tcp_b = coordinator_frame_counts(TransportKind::kTcp);
+  const FrameCounts uds = coordinator_frame_counts(TransportKind::kUds);
+  EXPECT_EQ(tcp_a.non_beat, tcp_b.non_beat);
+  EXPECT_EQ(tcp_a.non_beat, uds.non_beat);
+  EXPECT_GT(tcp_a.non_beat.at("net.control_frames_sent"), 0u);
+  EXPECT_GT(tcp_a.non_beat.at("net.control_frames_received"), 0u);
+  const double period = rt::RtConfig{}.command_poll_s;  // the nodes' own
+  const std::size_t k = 4;
+  for (const FrameCounts* c : {&tcp_a, &tcp_b, &uds}) {
+    EXPECT_GT(c->beats_received, 0u);
+    EXPECT_LE(static_cast<double>(c->beats_received),
+              static_cast<double>(k) * (c->wall_s / period + 1.0))
+        << "wall " << c->wall_s << " s";
+  }
 }
 
 TEST(NetE2E, GroupedRunMatchesInprocRt) {

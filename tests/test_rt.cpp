@@ -16,6 +16,7 @@
 
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
+#include "core/grouping.hpp"
 #include "core/trainer.hpp"
 #include "exp/runner.hpp"
 #include "rt/collectives.hpp"
@@ -1029,6 +1030,67 @@ TEST(RtRunner, GroupedMatchesSimulatorBitExactly) {
 TEST(RtRunner, GroupedInt8CodecMatchesSimulatorBitExactly) {
   expect_rt_matches_simulator(codec_scenario(core::SyncCompression::kInt8, 4,
                                              /*group_size=*/2));
+}
+
+/// Six devices in three groups of two — {0,5}, {1,4}, {2,3} — with group
+/// {0,5} down for the whole run: disconnected from t = 0 on the sim, dead
+/// from round 1's first step on rt. Returns every device's bytes.
+comm::VolumeCounters run_with_first_group_down(bool on_rt,
+                                               int inter_group_period) {
+  exp::Scenario s = rt_scenario({3, 3, 2, 2, 1, 1});
+  s.train.total_epochs = 6;
+  s.hadfl.grouping.group_size = 2;
+  s.hadfl.grouping.inter_group_period = inter_group_period;
+  exp::Environment env(s);
+  EXPECT_EQ(core::make_groups(env.cluster(), s.hadfl.grouping),
+            (core::DeviceGroups{{0, 5}, {1, 4}, {2, 3}}));
+  if (!on_rt) {
+    env.cluster().faults().schedule_disconnect(0, 0.0);
+    env.cluster().faults().schedule_disconnect(5, 0.0);
+    fl::SchemeContext ctx = env.context();
+    return core::run_hadfl(ctx, s.hadfl).scheme.volume;
+  }
+  fl::SchemeContext ctx = env.context();
+  RtConfig config = fast_rt_config(s.hadfl);
+  config.faults.push_back(FaultPlan{/*device=*/0, /*round=*/1,
+                                    /*after_steps=*/0});
+  config.faults.push_back(FaultPlan{/*device=*/5, /*round=*/1,
+                                    /*after_steps=*/0});
+  const RtResult r = run_hadfl_rt(ctx, config);
+  EXPECT_EQ(r.deaths_detected, 2u);
+  return r.scheme.volume;
+}
+
+/// With a whole group down, the inter-group exchange still pairs every
+/// leader with its own group. The traffic an exchange every round adds
+/// (against one in a thousand rounds) shows who led whom: leaders 1 and 2
+/// each push to their one member and receive only the leaders' ring, and
+/// members 4 and 3 each receive one push per exchange.
+void expect_leaders_push_to_their_own_groups(bool on_rt) {
+  const comm::VolumeCounters every = run_with_first_group_down(on_rt, 1);
+  const comm::VolumeCounters rare = run_with_first_group_down(on_rt, 1000);
+  const auto received = [&](sim::DeviceId d) {
+    return every.received[d] - rare.received[d];
+  };
+  const auto sent = [&](sim::DeviceId d) {
+    return every.sent[d] - rare.sent[d];
+  };
+  EXPECT_GT(received(3), 0u);  // group 2's member gets the global model
+  EXPECT_EQ(received(3), received(4));
+  EXPECT_EQ(received(1), received(2));  // 1 leads group 1, no push to it
+  EXPECT_EQ(sent(1), sent(2));
+  EXPECT_GT(sent(1), received(1));  // ring share plus the pushes
+}
+
+TEST(RtRunner, InterGroupLeadersPushToTheirOwnGroupWhenAGroupIsDown) {
+  {
+    SCOPED_TRACE("sim");
+    expect_leaders_push_to_their_own_groups(/*on_rt=*/false);
+  }
+  {
+    SCOPED_TRACE("rt");
+    expect_leaders_push_to_their_own_groups(/*on_rt=*/true);
+  }
 }
 
 TEST(RtRunner, LastValuePredictorMatchesSimulator) {
