@@ -2,10 +2,11 @@
 // predictor (Eq. 7), the selection function (Eq. 8), and strategy
 // generation (§III-C). These run on the coordinator every round, so their
 // cost bounds the control-plane overhead per aggregation. Also hosts the
-// end-to-end device-step benchmark (BM_LocalTrainingStep) since the
-// data-plane cost per local step is what the strategies trade against,
-// and the model state-sync path (gather/aggregate/scatter, legacy copying
-// vs arena views) with heap-allocation counting.
+// end-to-end device-step benchmarks (BM_LocalTrainingStep from the top
+// level, BM_LocalTrainingStepScenarioLane as a sim-resnet device runs it)
+// since the data-plane cost per local step is what the strategies trade
+// against, and the model state-sync path (gather/aggregate/scatter,
+// legacy copying vs arena views) with heap-allocation counting.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -13,11 +14,13 @@
 #include <memory>
 #include <new>
 
+#include "common/thread_pool.hpp"
 #include "core/selection.hpp"
 #include "core/strategy.hpp"
 #include "core/version_predictor.hpp"
 #include "data/batch_iterator.hpp"
 #include "data/synthetic.hpp"
+#include "exp/scenario.hpp"
 #include "fl/local_trainer.hpp"
 #include "nn/model_zoo.hpp"
 #include "nn/optimizer.hpp"
@@ -131,6 +134,33 @@ void BM_LocalTrainingStep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LocalTrainingStep)->Unit(benchmark::kMillisecond);
+
+// The step as a sim-resnet device runs it: the training scenario's model,
+// data and device batch (exp::paper_scenario: 8x8x3 inputs, batch 16),
+// with the whole timing loop as the task of a one-thread ThreadPool, so
+// every kernel runs inline as it does in a fleet lane. The timer, CPU time
+// included, is read on that thread.
+void BM_LocalTrainingStepScenarioLane(benchmark::State& state) {
+  const exp::Scenario scenario =
+      exp::paper_scenario(nn::Architecture::kResNet18Lite, {3, 3, 1, 1});
+  const auto split = data::make_synthetic_cifar(scenario.data);
+
+  Rng rng(42);
+  auto model = nn::make_resnet18_lite(scenario.model, rng);
+  nn::Sgd opt(model->parameters(), {0.01, 0.9, 1e-4});
+  std::vector<std::size_t> idx(split.train.size());
+  for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = i;
+  data::BatchIterator it(split.train, idx, scenario.train.device_batch_size,
+                         Rng(5));
+
+  ThreadPool lane(1);
+  lane.submit([&] {
+    for (auto _ : state) {
+      benchmark::DoNotOptimize(fl::run_local_steps(*model, opt, it, 1));
+    }
+  });
+}  // the pool joins once the loop has returned
+BENCHMARK(BM_LocalTrainingStepScenarioLane)->Unit(benchmark::kMillisecond);
 
 // ---- State synchronization: legacy copying API vs arena views ----------
 // The "legacy" functions below replicate the pre-arena model-state path

@@ -1,8 +1,8 @@
 // GEMM micro-benchmark with roofline-style reporting.
 //
 // Compares three kernels at the GEMM shapes local training actually runs
-// (the batched Conv2d / Dense shapes of the ResNet-lite zoo model, plus a
-// few square panels):
+// (the batched Conv2d / Dense shapes of the ResNet-lite zoo model at 16x16
+// and at the training scenario's 8x8 inputs, plus a few square panels):
 //
 //  * seed   — the pre-kernel-layer i-k-j loop (verbatim copy, including the
 //             zero-skip fast path it shipped with), the "before" baseline;
@@ -106,6 +106,26 @@ constexpr Shape kGradWeightShapes[] = {  // gemm_bt: dW = dY * cols^T
 constexpr Shape kGradInputShapes[] = {  // gemm_at: dCols = W^T * dY
     {"dCols 8->8  ", 72, 8, 4096},
     {"dCols 32->32", 288, 32, 256},
+};
+
+// The same model at the training scenario's 8x8 inputs (exp::paper_scenario,
+// device batch 16): every conv GEMM of a sim-resnet step, from the stem's
+// n = 1024 down to the 1x1 planes' n = 16, forward and both backward
+// operands. These run inline on one device thread.
+constexpr Shape kScenarioForwardShapes[] = {
+    {"8x8 stem    ", 8, 27, 1024},  {"8x8 8->8    ", 8, 72, 1024},
+    {"8x8 8->16/2 ", 16, 72, 256},  {"8x8 16->16  ", 16, 144, 256},
+    {"8x8 16->32/2", 32, 144, 64},  {"8x8 32->32  ", 32, 288, 64},
+    {"8x8 32->64/2", 64, 288, 16},  {"8x8 64->64  ", 64, 576, 16},
+    {"8x8 short/2 ", 64, 32, 16},
+};
+constexpr Shape kScenarioGradWeightShapes[] = {
+    {"8x8 dW 8->8 ", 8, 1024, 72},
+    {"8x8 dW 64   ", 64, 16, 576},
+};
+constexpr Shape kScenarioGradInputShapes[] = {
+    {"8x8 dCol 8  ", 72, 8, 1024},
+    {"8x8 dCol 64 ", 576, 64, 16},
 };
 
 std::vector<float> random_vec(std::size_t n, unsigned seed_val) {
@@ -217,6 +237,14 @@ int run_bench() {
   std::printf("\n");
   for (const Shape& s : kGradWeightShapes) bench_shape(variant("gemm_bt"), s);
   for (const Shape& s : kGradInputShapes) bench_shape(variant("gemm_at"), s);
+  std::printf("\nscenario model (8x8 inputs, batch 16):\n");
+  for (const Shape& s : kScenarioForwardShapes) bench_shape(variant("gemm"), s);
+  for (const Shape& s : kScenarioGradWeightShapes) {
+    bench_shape(variant("gemm_bt"), s);
+  }
+  for (const Shape& s : kScenarioGradInputShapes) {
+    bench_shape(variant("gemm_at"), s);
+  }
   return 0;
 }
 

@@ -6,6 +6,13 @@
 // samples), so forward is a single weight GEMM over the whole batch and
 // backward is one accumulating GEMM per operand — large, cache-blocked,
 // thread-parallel kernels instead of N small ones (tensor/ops.cpp).
+//
+// The lowering is one im2col / col2im call per sample (tensor/im2col.hpp:
+// a per-thread bordered plane and fixed-width row loops, byte-identical to
+// a per-element lowering). A top-level call (coordinator eval) fans the
+// samples out over the pool; a call inside a device burst runs them inline.
+// Samples own disjoint column ranges and image planes, so outputs and
+// gradients do not depend on the thread count.
 #pragma once
 
 #include <vector>

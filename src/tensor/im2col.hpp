@@ -10,6 +10,19 @@
 // first column, all N samples unfold into ONE (C*KH*KW, N*OH*OW) matrix,
 // so the whole batch's convolution is a single GEMM (nn::Conv2d). Samples
 // occupy disjoint column ranges, so unfolding is safely parallel over s.
+//
+// Each channel plane is first copied into a per-thread bordered plane,
+// (H+2P) x (W+2P) with a zero border, so every output row of a tap is a
+// plain strided copy (or add) with no bounds test. The row loops have a
+// fixed trip count for output widths 1, 2, 4, 8 and 16 at strides 1 and 2
+// (every plane of the zoo models at 8x8 and 16x16 inputs); other shapes
+// run the same loops with runtime bounds. The results are byte-identical
+// to a per-element lowering:
+// im2col is a pure copy, padding reads +0, and col2im adds each pixel's
+// contributions in (kh, kw) order onto the value the caller's image held
+// (-0 included). The one freedom left is the compiler's: when both addends
+// of a sum are NaN, which NaN's sign and payload survive depends on the
+// operand order it picks, in these loops as in any others.
 #pragma once
 
 #include <cstddef>

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "common/error.hpp"
 #include "nn/initializers.hpp"
+#include "tensor/kernel_config.hpp"
 #include "test_util.hpp"
 
 namespace hadfl::nn {
@@ -110,6 +113,67 @@ TEST(Conv2d, BackwardBeforeForwardThrows) {
 TEST(Conv2d, RejectsWrongChannelCount) {
   Conv2d layer(3, 4, 3, 1, 1);
   EXPECT_THROW(layer.forward(Tensor({1, 2, 8, 8}), true), ShapeError);
+}
+
+/// Output, input gradient and parameter gradients of one forward and
+/// backward pass run from the top level, where the lowering fans out over
+/// the samples on pool threads, each with its own bordered plane.
+struct StepResult {
+  Tensor out;
+  Tensor grad_in;
+  Tensor grad_weight;
+  Tensor grad_bias;
+};
+
+StepResult conv_step_with_threads(std::size_t threads, std::size_t in_c,
+                                  std::size_t out_c, std::size_t stride,
+                                  std::size_t pad, const Shape& input_shape) {
+  const ops::KernelConfig saved = ops::kernel_config();
+  ops::KernelConfig cfg = saved;
+  cfg.max_threads = threads;
+  ops::set_kernel_config(cfg);
+  Conv2d layer(in_c, out_c, 3, stride, pad, /*use_bias=*/true);
+  Rng rng(8);
+  he_normal(layer.weight(), in_c * 9, rng);
+  const Tensor x = testutil::random_tensor(input_shape, 31);
+  StepResult r;
+  r.out = layer.forward(x, true);
+  const Tensor grad_out = testutil::random_tensor(r.out.shape(), 32);
+  for (Parameter* p : layer.parameters()) p->zero_grad();
+  r.grad_in = layer.backward(grad_out);
+  r.grad_weight = layer.parameters()[0]->grad;
+  r.grad_bias = layer.parameters()[1]->grad;
+  ops::set_kernel_config(saved);
+  return r;
+}
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
+}
+
+TEST(Conv2d, TopLevelStepBitIdenticalAtOneAndFourThreads) {
+  // The first layer takes a fixed-width row loop (output width 4, stride
+  // 2), the second the runtime loop (output width 7).
+  struct Case {
+    std::size_t in_c, out_c, stride, pad;
+    Shape input;
+  };
+  const Case cases[] = {{3, 5, 2, 1, {19, 3, 9, 7}},
+                        {2, 4, 1, 2, {19, 2, 6, 5}}};
+  for (const Case& c : cases) {
+    const StepResult one =
+        conv_step_with_threads(1, c.in_c, c.out_c, c.stride, c.pad, c.input);
+    const StepResult four =
+        conv_step_with_threads(4, c.in_c, c.out_c, c.stride, c.pad, c.input);
+    EXPECT_TRUE(same_bits(one.out, four.out)) << shape_to_string(c.input);
+    EXPECT_TRUE(same_bits(one.grad_in, four.grad_in))
+        << shape_to_string(c.input);
+    EXPECT_TRUE(same_bits(one.grad_weight, four.grad_weight))
+        << shape_to_string(c.input);
+    EXPECT_TRUE(same_bits(one.grad_bias, four.grad_bias))
+        << shape_to_string(c.input);
+  }
 }
 
 TEST(Conv2d, NoBiasExposesOnlyWeight) {
