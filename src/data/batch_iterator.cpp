@@ -5,10 +5,10 @@
 namespace hadfl::data {
 
 BatchIterator::BatchIterator(const Dataset& dataset,
-                             std::vector<std::size_t> indices,
+                             std::span<const std::size_t> indices,
                              std::size_t batch_size, Rng rng)
     : dataset_(&dataset),
-      indices_(std::move(indices)),
+      indices_(indices.begin(), indices.end()),
       batch_size_(batch_size),
       rng_(rng) {
   HADFL_CHECK_ARG(!indices_.empty(), "BatchIterator needs a non-empty partition");
@@ -22,11 +22,9 @@ Batch BatchIterator::next() {
     rng_.shuffle(indices_);
   }
   const std::size_t take = std::min(batch_size_, indices_.size() - cursor_);
-  std::vector<std::size_t> batch_indices(
-      indices_.begin() + static_cast<std::ptrdiff_t>(cursor_),
-      indices_.begin() + static_cast<std::ptrdiff_t>(cursor_ + take));
+  const std::span<const std::size_t> batch(indices_.data() + cursor_, take);
   cursor_ += take;
-  return dataset_->gather(batch_indices);
+  return dataset_->gather(batch);
 }
 
 std::size_t BatchIterator::batches_per_epoch() const {

@@ -7,6 +7,9 @@
 // not a multiple of the batch size.
 #pragma once
 
+#include <span>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "data/dataset.hpp"
 
@@ -14,8 +17,9 @@ namespace hadfl::data {
 
 class BatchIterator {
  public:
-  /// `indices` are the device's sample indices into `dataset` (P^k).
-  BatchIterator(const Dataset& dataset, std::vector<std::size_t> indices,
+  /// `indices` are the device's sample indices into `dataset` (P^k); the
+  /// iterator copies them into the permutation it shuffles.
+  BatchIterator(const Dataset& dataset, std::span<const std::size_t> indices,
                 std::size_t batch_size, Rng rng);
 
   /// Next mini-batch; reshuffles transparently at epoch boundaries.

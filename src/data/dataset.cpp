@@ -51,7 +51,7 @@ int Dataset::label(std::size_t i) const {
   return labels_[i];
 }
 
-Batch Dataset::gather(const std::vector<std::size_t>& indices) const {
+Batch Dataset::gather(std::span<const std::size_t> indices) const {
   HADFL_CHECK_ARG(!indices.empty(), "gather of empty index list");
   const std::size_t c = channels();
   const std::size_t h = height();
@@ -70,7 +70,7 @@ Batch Dataset::gather(const std::vector<std::size_t>& indices) const {
 }
 
 std::vector<std::size_t> Dataset::label_histogram(
-    const std::vector<std::size_t>& indices) const {
+    std::span<const std::size_t> indices) const {
   std::vector<std::size_t> hist(num_classes_, 0);
   for (std::size_t i : indices) {
     HADFL_CHECK_ARG(i < size(), "sample index " << i << " out of range");

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "tensor/tensor.hpp"
@@ -42,11 +43,11 @@ class Dataset {
   int label(std::size_t i) const;
 
   /// Gathers the given sample indices into a batch.
-  Batch gather(const std::vector<std::size_t>& indices) const;
+  Batch gather(std::span<const std::size_t> indices) const;
 
   /// Label histogram (size num_classes) over a subset of indices.
   std::vector<std::size_t> label_histogram(
-      const std::vector<std::size_t>& indices) const;
+      std::span<const std::size_t> indices) const;
 
  private:
   Tensor images_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "common/error.hpp"
@@ -38,7 +39,46 @@ double sample_gamma(double alpha, Rng& rng) {
   }
 }
 
+/// Disjoint device windows over one pool, before they become a Partition.
+struct Layout {
+  std::vector<std::size_t> pool;
+  std::vector<Partition::Window> windows;
+};
+
+/// Lays out an assignment stream (`indices[j]` goes to device `owner[j]`)
+/// as one window per device, in device order, each keeping its indices in
+/// stream order: a stable counting sort by device.
+Layout group_by_device(std::size_t num_devices,
+                       const std::vector<std::size_t>& owner,
+                       const std::vector<std::size_t>& indices) {
+  Layout layout{std::vector<std::size_t>(indices.size()),
+                std::vector<Partition::Window>(num_devices)};
+  for (const std::size_t d : owner) ++layout.windows[d].size;
+  std::size_t begin = 0;
+  for (Partition::Window& w : layout.windows) {
+    w.begin = begin;
+    begin += w.size;
+    w.size = 0;  // regrown as the stream fills the window
+  }
+  for (std::size_t j = 0; j < indices.size(); ++j) {
+    Partition::Window& w = layout.windows[owner[j]];
+    layout.pool[w.begin + w.size++] = indices[j];
+  }
+  return layout;
+}
+
 }  // namespace
+
+Partition::Partition(std::vector<std::size_t> pool,
+                     std::vector<Window> windows)
+    : pool_(std::move(pool)), windows_(std::move(windows)) {
+  for (const Window& w : windows_) {
+    HADFL_CHECK_ARG(
+        w.begin <= pool_.size() && w.size <= pool_.size() - w.begin,
+        "partition window [" << w.begin << ", +" << w.size
+                             << ") outside a pool of " << pool_.size());
+  }
+}
 
 Partition partition_iid(const Dataset& dataset, std::size_t num_devices,
                         Rng& rng) {
@@ -46,11 +86,10 @@ Partition partition_iid(const Dataset& dataset, std::size_t num_devices,
   std::vector<std::size_t> order(dataset.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   rng.shuffle(order);
-  Partition parts(num_devices);
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    parts[i % num_devices].push_back(order[i]);
-  }
-  return parts;
+  std::vector<std::size_t> owner(order.size());
+  for (std::size_t i = 0; i < order.size(); ++i) owner[i] = i % num_devices;
+  Layout layout = group_by_device(num_devices, owner, order);
+  return Partition(std::move(layout.pool), std::move(layout.windows));
 }
 
 Partition partition_dirichlet(const Dataset& dataset, std::size_t num_devices,
@@ -58,7 +97,8 @@ Partition partition_dirichlet(const Dataset& dataset, std::size_t num_devices,
   check_args(dataset, num_devices);
   HADFL_CHECK_ARG(alpha > 0.0, "Dirichlet alpha must be positive");
 
-  Partition parts(num_devices);
+  std::vector<std::size_t> owner;
+  std::vector<std::size_t> dealt;
   for (std::size_t cls = 0; cls < dataset.num_classes(); ++cls) {
     std::vector<std::size_t> members;
     for (std::size_t i = 0; i < dataset.size(); ++i) {
@@ -84,23 +124,27 @@ Partition partition_dirichlet(const Dataset& dataset, std::size_t num_devices,
                         std::llround(props[d] / total *
                                      static_cast<double>(members.size()))));
       for (std::size_t i = 0; i < take; ++i) {
-        parts[d].push_back(members[cursor + i]);
+        owner.push_back(d);
+        dealt.push_back(members[cursor + i]);
       }
       cursor += take;
     }
   }
+  Layout layout = group_by_device(num_devices, owner, dealt);
 
   // Every device must hold at least one sample; steal from the largest.
-  for (std::size_t d = 0; d < num_devices; ++d) {
-    if (!parts[d].empty()) continue;
-    auto largest = std::max_element(
-        parts.begin(), parts.end(),
-        [](const auto& a, const auto& b) { return a.size() < b.size(); });
-    HADFL_CHECK_MSG(largest->size() > 1, "cannot rebalance empty partition");
-    parts[d].push_back(largest->back());
-    largest->pop_back();
+  // The stolen index is the donor's last, which stays in the pool just
+  // past the donor's shortened window and becomes the empty device's.
+  for (Partition::Window& w : layout.windows) {
+    if (w.size > 0) continue;
+    const auto largest = std::max_element(
+        layout.windows.begin(), layout.windows.end(),
+        [](const auto& a, const auto& b) { return a.size < b.size; });
+    HADFL_CHECK_MSG(largest->size > 1, "cannot rebalance empty partition");
+    --largest->size;
+    w = {largest->begin + largest->size, 1};
   }
-  return parts;
+  return Partition(std::move(layout.pool), std::move(layout.windows));
 }
 
 Partition partition_shards(const Dataset& dataset, std::size_t num_devices,
@@ -122,7 +166,8 @@ Partition partition_shards(const Dataset& dataset, std::size_t num_devices,
   rng.shuffle(shard_ids);
 
   const std::size_t shard_size = dataset.size() / num_shards;
-  Partition parts(num_devices);
+  std::vector<std::size_t> owner;
+  std::vector<std::size_t> dealt;
   for (std::size_t s = 0; s < num_shards; ++s) {
     const std::size_t device = s / shards_per_device;
     const std::size_t shard = shard_ids[s];
@@ -130,10 +175,12 @@ Partition partition_shards(const Dataset& dataset, std::size_t num_devices,
     const std::size_t end =
         shard + 1 == num_shards ? dataset.size() : begin + shard_size;
     for (std::size_t i = begin; i < end; ++i) {
-      parts[device].push_back(order[i]);
+      owner.push_back(device);
+      dealt.push_back(order[i]);
     }
   }
-  return parts;
+  Layout layout = group_by_device(num_devices, owner, dealt);
+  return Partition(std::move(layout.pool), std::move(layout.windows));
 }
 
 Partition cyclic_partition(std::size_t dataset_size, std::size_t num_devices,
@@ -141,21 +188,28 @@ Partition cyclic_partition(std::size_t dataset_size, std::size_t num_devices,
   HADFL_CHECK_ARG(dataset_size > 0, "cyclic_partition of empty dataset");
   HADFL_CHECK_ARG(num_devices > 0, "cyclic_partition over zero devices");
   HADFL_CHECK_ARG(per_device > 0, "cyclic_partition with zero samples/device");
-  Partition parts(num_devices);
-  for (std::size_t d = 0; d < num_devices; ++d) {
-    std::vector<std::size_t>& part = parts[d];
-    part.resize(per_device);
-    for (std::size_t i = 0; i < per_device; ++i) {
-      part[i] = (d * per_device + i) % dataset_size;
-    }
+  HADFL_CHECK_ARG(
+      per_device <= std::numeric_limits<std::size_t>::max() / num_devices,
+      "cyclic_partition: num_devices * per_device overflows");
+  // pool[j] = j mod N, so the window of length `per` starting at
+  // (d * per) mod N reads (d * per + i) mod N. The last window starts at
+  // most at N - 1, hence N + per - 1 entries suffice for any fleet.
+  std::vector<std::size_t> pool(
+      std::min(num_devices * per_device, dataset_size + per_device - 1));
+  for (std::size_t j = 0; j < pool.size(); ++j) pool[j] = j % dataset_size;
+  std::vector<Partition::Window> windows(num_devices);
+  std::size_t begin = 0;
+  for (Partition::Window& w : windows) {
+    w = {begin, per_device};
+    begin = (begin + per_device) % dataset_size;
   }
-  return parts;
+  return Partition(std::move(pool), std::move(windows));
 }
 
 bool is_valid_partition(const Partition& partition, std::size_t dataset_size) {
   std::vector<std::size_t> seen(dataset_size, 0);
-  for (const auto& part : partition) {
-    for (std::size_t i : part) {
+  for (std::size_t d = 0; d < partition.size(); ++d) {
+    for (const std::size_t i : partition[d]) {
       if (i >= dataset_size) return false;
       ++seen[i];
     }

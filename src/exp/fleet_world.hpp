@@ -8,8 +8,11 @@
 // dataset-per-device split are exactly the O(K) costs the fleet stack
 // removes. Instead the world cycles a compute-ratio pattern through a
 // struct-of-arrays DeviceTable, oversubscribes a fixed synthetic dataset
-// with the deterministic cyclic partition, and schedules a staggered churn
-// plan (one fault interval per churning device, a slice of them permanent).
+// with the deterministic cyclic partition (one 16-byte window per device
+// into a pool of at most dataset_size + samples_per_device - 1 indices,
+// not a private index list per device), and schedules a staggered churn
+// plan (one fault interval per churning device, a slice of them
+// permanent).
 #pragma once
 
 #include <cstdint>

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <span>
 
 #include "common/error.hpp"
 #include "nn/loss.hpp"
@@ -21,11 +22,8 @@ EvalResult evaluate(nn::Sequential& model, const data::Dataset& dataset,
   std::iota(indices.begin(), indices.end(), std::size_t{0});
   for (std::size_t begin = 0; begin < indices.size(); begin += batch_size) {
     const std::size_t end = std::min(begin + batch_size, indices.size());
-    const std::vector<std::size_t> slice(indices.begin() +
-                                             static_cast<std::ptrdiff_t>(begin),
-                                         indices.begin() +
-                                             static_cast<std::ptrdiff_t>(end));
-    data::Batch batch = dataset.gather(slice);
+    data::Batch batch = dataset.gather(
+        std::span<const std::size_t>(indices).subspan(begin, end - begin));
     const Tensor logits = model.forward(batch.x, /*training=*/false);
     const double loss = loss_fn.forward(logits, batch.y);
     const double acc = nn::accuracy(logits, batch.y);

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <numeric>
 #include <set>
 
 #include "common/error.hpp"
@@ -252,10 +253,10 @@ TEST(Hadfl, SampleWeightedAggregationFollowsPartitionSizes) {
   exp::Environment env(s);
   // Build a skewed partition: device 0 holds 7/8 of the data.
   const std::size_t n = env.train().size();
-  data::Partition skewed(2);
-  for (std::size_t i = 0; i < n; ++i) {
-    skewed[i < n / 8 ? 1 : 0].push_back(i);
-  }
+  std::vector<std::size_t> pool(n);
+  std::iota(pool.begin(), pool.end(), std::size_t{0});
+  const data::Partition skewed(std::move(pool),
+                               {{n / 8, n - n / 8}, {0, n / 8}});
   const fl::SchemeContext base = env.context();
   const fl::SchemeContext ctx{base.cluster, base.network,     base.train,
                               base.test,    skewed,           base.make_model,
